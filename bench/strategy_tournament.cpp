@@ -20,7 +20,8 @@
 //   strategy_tournament --csv       CSV rows instead of the table
 //   strategy_tournament --gate      link-flap regime only; exit 1 unless
 //                                   disjointness-max k=2 goodput beats
-//                                   k=1 by >= 1.5x (CI smoke gate)
+//                                   k=1 by >= 1.5x (CI smoke gate); writes
+//                                   no report unless --out is given
 //   strategy_tournament --out FILE  JSON report path (BENCH_strategy.json)
 //   strategy_tournament --seed N    campaign + fault seed (default 42)
 #include <algorithm>
@@ -252,7 +253,7 @@ int main(int argc, char** argv) {
   bool gate = false;
   bool csv = false;
   std::uint64_t seed = 42;
-  std::string out_path = "BENCH_strategy.json";
+  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--gate") == 0) gate = true;
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
@@ -268,6 +269,9 @@ int main(int argc, char** argv) {
       seed = static_cast<std::uint64_t>(*parsed);
     }
   }
+  // A gate run covers one strategy in one regime: its subset must not
+  // replace the full report unless a path is asked for.
+  if (out_path.empty() && !gate) out_path = "BENCH_strategy.json";
 
   std::fprintf(stderr,
                "[strategy_tournament] calm campaign on the multihomed "
@@ -350,10 +354,12 @@ int main(int argc, char** argv) {
       {"gate", gate},
       {"regimes", Value(std::move(regime_rows))},
   });
-  std::ofstream out(out_path);
-  out << report.dump(2) << "\n";
-  out.close();
-  std::fprintf(stderr, "[strategy_tournament] wrote %s\n", out_path.c_str());
+  if (!out_path.empty()) {
+    std::ofstream out(out_path);
+    out << report.dump(2) << "\n";
+    out.close();
+    std::fprintf(stderr, "[strategy_tournament] wrote %s\n", out_path.c_str());
+  }
 
   if (gate && !gate_ok) {
     std::fprintf(stderr,

@@ -1,5 +1,7 @@
 #include "scion/isd_asn.hpp"
 
+#include <charconv>
+
 #include "util/strings.hpp"
 
 namespace upin::scion {
@@ -7,23 +9,31 @@ namespace upin::scion {
 using util::ErrorCode;
 using util::Result;
 
+namespace {
+
+void append_number(std::string& out, std::uint64_t value, int base = 10) {
+  char digits[24];
+  const char* end = std::to_chars(digits, digits + sizeof digits, value, base).ptr;
+  out.append(digits, static_cast<std::size_t>(end - digits));
+}
+
+}  // namespace
+
 std::string IsdAsn::to_string() const {
-  std::string out = std::to_string(isd_);
+  std::string out;
+  out.reserve(24);
+  append_number(out, isd_);
   out.push_back('-');
   if (asn_ < (1ULL << 32)) {
-    out += std::to_string(asn_);
+    append_number(out, asn_);
     return out;
   }
   // Three colon-separated 16-bit hex groups, SCION style (no padding).
-  const auto group = [&](int shift) {
-    return util::format("%llx",
-                        static_cast<unsigned long long>((asn_ >> shift) & 0xffff));
-  };
-  out += group(32);
+  append_number(out, (asn_ >> 32) & 0xffff, 16);
   out.push_back(':');
-  out += group(16);
+  append_number(out, (asn_ >> 16) & 0xffff, 16);
   out.push_back(':');
-  out += group(0);
+  append_number(out, asn_ & 0xffff, 16);
   return out;
 }
 

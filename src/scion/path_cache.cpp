@@ -193,29 +193,35 @@ void PathCache::clear() {
 }
 
 Value PathCache::snapshot() const {
+  // Built by moving each value into place: `Value::object({...})` would
+  // deep-copy every nested array out of its const initializer list.
   Value::Array entries;
+  entries.reserve(entries_.size());
   for (const Entry& entry : entries_) {  // front-to-back == LRU order
     Value::Array paths;
+    paths.reserve(entry.paths.size());
     for (const Path& path : entry.paths) {
-      paths.push_back(Value::object({
-          {"sequence", path.sequence()},
-          {"mtu", path.mtu()},
-          {"static_latency_ns", path.static_latency().count()},
-          {"created_at_ns", path.created_at().count()},
-          {"expires_at_ns", path.expires_at().count()},
-          {"status", path.status()},
-      }));
+      util::JsonObject encoded;
+      encoded.set("sequence", path.sequence());
+      encoded.set("mtu", path.mtu());
+      encoded.set("static_latency_ns", path.static_latency().count());
+      encoded.set("created_at_ns", path.created_at().count());
+      encoded.set("expires_at_ns", path.expires_at().count());
+      encoded.set("status", path.status());
+      paths.emplace_back(std::move(encoded));
     }
-    entries.push_back(Value::object({
-        {"src", entry.src.to_string()},
-        {"dst", entry.dst.to_string()},
-        {"resolved_at_ns", entry.resolved_at.count()},
-        {"negative", entry.negative},
-        {"dirty", entry.dirty},
-        {"paths", Value(std::move(paths))},
-    }));
+    util::JsonObject encoded;
+    encoded.set("src", entry.src.to_string());
+    encoded.set("dst", entry.dst.to_string());
+    encoded.set("resolved_at_ns", entry.resolved_at.count());
+    encoded.set("negative", entry.negative);
+    encoded.set("dirty", entry.dirty);
+    encoded.set("paths", std::move(paths));
+    entries.emplace_back(std::move(encoded));
   }
-  return Value::object({{"entries", Value(std::move(entries))}});
+  util::JsonObject snapshot;
+  snapshot.set("entries", std::move(entries));
+  return Value(std::move(snapshot));
 }
 
 util::Status PathCache::restore(const Value& value) {

@@ -169,11 +169,6 @@ std::optional<std::string> PathSelector::rejection_reason(
       .rejection;
 }
 
-std::optional<double> PathSelector::score(const PathSummary& summary,
-                                          const UserRequest& request) {
-  return paper_objective_score(summary, request);
-}
-
 Result<Selection> PathSelector::select(const UserRequest& request) const {
   return select_with(kPaperObjective, request);
 }

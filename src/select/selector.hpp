@@ -82,12 +82,6 @@ class PathSelector {
   [[nodiscard]] std::optional<std::string> rejection_reason(
       const PathSummary& summary, const UserRequest& request) const;
 
-  /// Deprecated: the paper objective's score, kept as a shim so existing
-  /// callers compile.  New code scores through a strategy
-  /// (`PathSelectionStrategy::score_path`) or `paper_objective_score`.
-  [[nodiscard]] static std::optional<double> score(const PathSummary& summary,
-                                                   const UserRequest& request);
-
  private:
   [[nodiscard]] util::Result<PathSummary> summarize_path(
       const docdb::Document& path_doc,

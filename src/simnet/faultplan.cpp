@@ -37,7 +37,7 @@ struct FaultMetrics {
 FaultPlan::FaultPlan(std::uint64_t seed, FaultPlanConfig config)
     : config_(config), master_(seed) {}
 
-std::vector<FaultWindow> FaultPlan::schedule(const std::string& stream,
+std::vector<FaultWindow> FaultPlan::schedule(const util::Fnv1a& stream,
                                              double per_hour, double min_s,
                                              double max_s) const {
   std::vector<FaultWindow> windows;
@@ -72,20 +72,20 @@ bool FaultPlan::covers(const std::vector<FaultWindow>& windows,
 
 std::vector<FaultWindow> FaultPlan::server_down_windows(
     std::uint32_t node) const {
-  return schedule("fault:down:" + std::to_string(node),
+  return schedule(util::Fnv1a().add("fault:down:").add_int(node),
                   config_.server_down_per_hour, config_.server_down_min_s,
                   config_.server_down_max_s);
 }
 
 std::vector<FaultWindow> FaultPlan::slow_windows(std::uint32_t node) const {
-  return schedule("fault:slow:" + std::to_string(node), config_.slow_per_hour,
-                  config_.slow_min_s, config_.slow_max_s);
+  return schedule(util::Fnv1a().add("fault:slow:").add_int(node),
+                  config_.slow_per_hour, config_.slow_min_s, config_.slow_max_s);
 }
 
 std::vector<FaultWindow> FaultPlan::link_flap_windows(std::uint32_t from,
                                                       std::uint32_t to) const {
   return schedule(
-      "fault:flap:" + std::to_string(from) + ">" + std::to_string(to),
+      util::Fnv1a().add("fault:flap:").add_int(from).add(">").add_int(to),
       config_.link_flap_per_hour, config_.link_flap_min_s,
       config_.link_flap_max_s);
 }
@@ -112,10 +112,14 @@ bool FaultPlan::link_flapped(std::uint32_t from, std::uint32_t to,
   return hit;
 }
 
-bool FaultPlan::garbled(std::string_view op_label, SimTime t) const {
+bool FaultPlan::garbled(std::string_view op_label, SimTime t,
+                        std::span<const std::uint32_t> route) const {
   if (config_.garble_prob <= 0.0) return false;
-  Rng rng = master_.fork("fault:garble:" + std::string(op_label) + ":" +
-                         std::to_string(t.count()));
+  util::Fnv1a label;
+  add_route(label.add("fault:garble:").add(op_label), route)
+      .add(":")
+      .add_int(t.count());
+  Rng rng = master_.fork(label);
   const bool hit = rng.bernoulli(config_.garble_prob);
   if (hit) FaultMetrics::get().garbled.add();
   return hit;

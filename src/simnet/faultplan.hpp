@@ -22,7 +22,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -30,6 +30,14 @@
 #include "util/rng.hpp"
 
 namespace upin::simnet {
+
+/// Stream `route` into an operation label the way labels spell a route:
+/// every node id in decimal, each followed by '-'.
+inline util::Fnv1a& add_route(util::Fnv1a& label,
+                              std::span<const std::uint32_t> route) noexcept {
+  for (const std::uint32_t node : route) label.add_int(node).add("-");
+  return label;
+}
 
 /// One scheduled fault episode in virtual time.
 struct FaultWindow {
@@ -85,9 +93,11 @@ class FaultPlan {
   [[nodiscard]] bool link_flapped(std::uint32_t from, std::uint32_t to,
                                   util::SimTime t) const;
 
-  /// Per-operation garbled-response draw, keyed by the operation label and
-  /// its virtual start time (re-attempts at a later time redraw).
-  [[nodiscard]] bool garbled(std::string_view op_label, util::SimTime t) const;
+  /// Per-operation garbled-response draw, keyed by the operation label
+  /// (`op_label` followed by `route`, see `add_route`) and its virtual
+  /// start time (re-attempts at a later time redraw).
+  [[nodiscard]] bool garbled(std::string_view op_label, util::SimTime t,
+                             std::span<const std::uint32_t> route = {}) const;
 
   /// The full episode schedule for an entity stream — exposed so tests
   /// and benches can reconcile observed failures against injected faults.
@@ -98,7 +108,7 @@ class FaultPlan {
       std::uint32_t from, std::uint32_t to) const;
 
  private:
-  [[nodiscard]] std::vector<FaultWindow> schedule(const std::string& stream,
+  [[nodiscard]] std::vector<FaultWindow> schedule(const util::Fnv1a& stream,
                                                   double per_hour, double min_s,
                                                   double max_s) const;
   [[nodiscard]] static bool covers(const std::vector<FaultWindow>& windows,

@@ -142,7 +142,18 @@ Result<LinkId> Network::add_link(LinkSpec spec) {
         haversine_km(nodes_[spec.from].location, nodes_[spec.to].location);
     spec.propagation = propagation_delay(km);
   }
+  // Fork-label prefixes of the link's per-bucket draws, hashed once here
+  // instead of spelled out per query; the phase hashes "<from>><to>".
+  const auto endpoints = [&spec](util::Fnv1a label) {
+    return label.add_int(spec.from).add(">").add_int(spec.to);
+  };
+  LinkKeys keys;
+  keys.util = endpoints(util::Fnv1a().add("util:")).add(":");
+  keys.cong = endpoints(util::Fnv1a().add("cong:")).add(":");
+  keys.phase = static_cast<double>(endpoints(util::Fnv1a()).value() % 10'000) /
+               10'000.0 * kTwoPi;
   links_.push_back(spec);
+  link_keys_.push_back(keys);
   const auto id = static_cast<LinkId>(links_.size() - 1);
   by_endpoints_.emplace(key, id);
   return id;
@@ -178,10 +189,15 @@ std::optional<NodeId> Network::find_node(std::string_view name) const {
   return std::nullopt;
 }
 
-const LinkSpec* Network::find_link(NodeId from, NodeId to) const {
+std::optional<LinkId> Network::find_link_id(NodeId from, NodeId to) const {
   const auto it = by_endpoints_.find(endpoint_key(from, to));
-  if (it == by_endpoints_.end()) return nullptr;
-  return &links_[it->second];
+  if (it == by_endpoints_.end()) return std::nullopt;
+  return it->second;
+}
+
+const LinkSpec* Network::find_link(NodeId from, NodeId to) const {
+  const std::optional<LinkId> id = find_link_id(from, to);
+  return id.has_value() ? &links_[*id] : nullptr;
 }
 
 SimDuration Network::link_propagation(NodeId from, NodeId to) const {
@@ -190,53 +206,48 @@ SimDuration Network::link_propagation(NodeId from, NodeId to) const {
   return *link->propagation;
 }
 
-std::string Network::route_label(const std::vector<NodeId>& route) {
-  std::string label;
-  for (const NodeId node : route) {
-    label += std::to_string(node);
-    label.push_back('-');
-  }
-  return label;
-}
-
 double Network::utilization(NodeId from, NodeId to, SimTime t) const {
-  const LinkSpec* link = find_link(from, to);
-  if (link == nullptr) return 0.0;
-  const std::string label =
-      std::to_string(from) + ">" + std::to_string(to);
-  const double phase =
-      static_cast<double>(util::fnv1a64(label) % 10'000) / 10'000.0 * kTwoPi;
-  const double seconds = util::to_seconds(t);
-  const double wave =
-      link->util_amplitude * std::sin(kTwoPi * seconds / link->util_period_s + phase);
-  // Per-minute noise bucket, stable across repeated queries.
-  const auto bucket = static_cast<std::int64_t>(seconds / 60.0);
-  Rng noise_rng = master_.fork("util:" + label + ":" + std::to_string(bucket));
-  const double noise = noise_rng.normal(0.0, 0.05);
-  return std::clamp(link->util_base + wave + noise, 0.0, 0.97);
+  const std::optional<LinkId> id = find_link_id(from, to);
+  return id.has_value() ? link_utilization(*id, t) : 0.0;
 }
 
 double Network::frame_loss(NodeId from, NodeId to, SimTime t) const {
-  const LinkSpec* link = find_link(from, to);
-  if (link == nullptr) return 1.0;
+  const std::optional<LinkId> id = find_link_id(from, to);
+  if (!id.has_value()) return 1.0;
+  return link_frame_loss(*id, t, link_utilization(*id, t));
+}
+
+double Network::link_utilization(LinkId id, SimTime t) const {
+  const LinkSpec& link = links_[id];
+  const LinkKeys& keys = link_keys_[id];
+  const double seconds = util::to_seconds(t);
+  const double wave = link.util_amplitude *
+                      std::sin(kTwoPi * seconds / link.util_period_s + keys.phase);
+  // Per-minute noise bucket, stable across repeated queries.
+  const auto bucket = static_cast<std::int64_t>(seconds / 60.0);
+  Rng noise_rng = master_.fork(util::Fnv1a(keys.util).add_int(bucket));
+  const double noise = noise_rng.normal(0.0, 0.05);
+  return std::clamp(link.util_base + wave + noise, 0.0, 0.97);
+}
+
+double Network::link_frame_loss(LinkId id, SimTime t, double utilization) const {
+  const LinkSpec& link = links_[id];
   // An injected link flap drops every frame for the episode's duration.
-  if (faults_.link_flapped(from, to, t)) return 1.0;
-  double loss = link->base_loss;
+  if (faults_.link_flapped(link.from, link.to, t)) return 1.0;
+  double loss = link.base_loss;
 
   // Micro-congestion: some 10-second windows on some links lose a visible
   // fraction of frames (the paper's occasional ~10% loss readings, §6.3).
-  const std::string label = std::to_string(from) + ">" + std::to_string(to);
   const auto bucket = static_cast<std::int64_t>(util::to_seconds(t) / 10.0);
-  Rng bucket_rng = master_.fork("cong:" + label + ":" + std::to_string(bucket));
+  Rng bucket_rng = master_.fork(util::Fnv1a(link_keys_[id].cong).add_int(bucket));
   if (bucket_rng.bernoulli(config_.micro_congestion_prob)) {
     loss += bucket_rng.uniform(config_.micro_congestion_loss_min,
                                config_.micro_congestion_loss_max);
   }
 
   // Heavily utilized links shed additional frames.
-  const double util = utilization(from, to, t);
-  if (util > config_.congested_util_threshold) {
-    loss += (util - config_.congested_util_threshold) * 2.0;
+  if (utilization > config_.congested_util_threshold) {
+    loss += (utilization - config_.congested_util_threshold) * 2.0;
   }
   return std::clamp(loss, 0.0, 1.0);
 }
@@ -263,43 +274,46 @@ Result<Network::RouteLinks> Network::resolve(
     if (route[i] >= nodes_.size() || route[i + 1] >= nodes_.size()) {
       return util::Error{ErrorCode::kInvalidArgument, "route node unknown"};
     }
-    const LinkSpec* link = find_link(route[i], route[i + 1]);
-    if (link == nullptr) {
+    const std::optional<LinkId> link = find_link_id(route[i], route[i + 1]);
+    if (!link.has_value()) {
       return util::Error{ErrorCode::kInvalidArgument,
                          "no link " + nodes_[route[i]].name + " -> " +
                              nodes_[route[i + 1]].name};
     }
-    resolved.links.push_back(link);
+    resolved.links.push_back(*link);
   }
+  resolved.util.resize(resolved.links.size());
   return resolved;
 }
 
-double Network::one_way_ms(const RouteLinks& route_links,
-                           const std::vector<NodeId>& route, SimTime t,
-                           Rng& rng) const {
+void Network::sample_utilization(RouteLinks& route_links, SimTime t) const {
+  for (std::size_t i = 0; i < route_links.links.size(); ++i) {
+    route_links.util[i] = link_utilization(route_links.links[i], t);
+  }
+}
+
+double Network::one_way_ms(const RouteLinks& route_links, Rng& rng) const {
   double total_ms = 0.0;
   for (std::size_t i = 0; i < route_links.links.size(); ++i) {
-    const LinkSpec& link = *route_links.links[i];
+    const LinkSpec& link = links_[route_links.links[i]];
     total_ms += util::to_millis(link.propagation.value_or(SimDuration::zero()));
     // Forwarding cost and queueing jitter at the receiving node.
-    const NodeSpec& hop = nodes_[route[i + 1]];
+    const NodeSpec& hop = nodes_[link.to];
     total_ms += hop.process_ms;
     total_ms += hop.jitter_ms * rng.lognormal(0.0, 0.6);
     // Queueing delay on the link, superlinear in background utilization.
-    const double util = utilization(route[i], route[i + 1], t);
+    const double util = route_links.util[i];
     total_ms += util * util * util * 4.0 * rng.lognormal(0.0, 0.8);
   }
   return total_ms;
 }
 
-bool Network::frame_survives(const RouteLinks& route_links,
-                             const std::vector<NodeId>& route, SimTime t,
+bool Network::frame_survives(const RouteLinks& route_links, SimTime t,
                              Rng& rng) const {
   for (std::size_t i = 0; i < route_links.links.size(); ++i) {
-    const NodeId from = route[i];
-    const NodeId to = route[i + 1];
-    if (rng.bernoulli(frame_loss(from, to, t))) return false;
-    if (rng.bernoulli(outage_drop(to, t))) return false;
+    const LinkId id = route_links.links[i];
+    if (rng.bernoulli(link_frame_loss(id, t, route_links.util[i]))) return false;
+    if (rng.bernoulli(outage_drop(links_[id].to, t))) return false;
   }
   return true;
 }
@@ -307,11 +321,11 @@ bool Network::frame_survives(const RouteLinks& route_links,
 Result<PingStats> Network::ping(const std::vector<NodeId>& route,
                                 const PingOptions& options,
                                 SimTime start) const {
-  const Result<RouteLinks> forward = resolve(route);
+  Result<RouteLinks> forward = resolve(route);
   if (!forward.ok()) return Result<PingStats>(forward.error());
 
-  std::vector<NodeId> reverse_route(route.rbegin(), route.rend());
-  const Result<RouteLinks> backward = resolve(reverse_route);
+  const std::vector<NodeId> reverse_route(route.rbegin(), route.rend());
+  Result<RouteLinks> backward = resolve(reverse_route);
   if (!backward.ok()) return Result<PingStats>(backward.error());
 
   // Injected destination faults (§4.1.2 fault classes), checked at the
@@ -327,7 +341,7 @@ Result<PingStats> Network::ping(const std::vector<NodeId>& route,
       return util::Error{ErrorCode::kTimeout,
                          "injected fault: destination responding too slowly"};
     }
-    if (faults_.garbled("ping:" + route_label(route), start)) {
+    if (faults_.garbled("ping:", start, route)) {
       return util::Error{ErrorCode::kBadResponse,
                          "injected fault: garbled echo response"};
     }
@@ -335,19 +349,22 @@ Result<PingStats> Network::ping(const std::vector<NodeId>& route,
 
   PingStats stats;
   stats.rtt_ms.reserve(options.count);
-  const std::string label = route_label(route);
+  util::Fnv1a label;
+  add_route(label.add("ping:"), route).add(":");
+  RouteLinks& fwd = forward.value();
+  RouteLinks& bwd = backward.value();
   for (std::size_t i = 0; i < options.count; ++i) {
     const SimTime t = start + options.interval * static_cast<std::int64_t>(i);
-    Rng rng = master_.fork("ping:" + label + ":" + std::to_string(t.count()));
-    const bool delivered_fwd = frame_survives(forward.value(), route, t, rng);
-    const bool delivered_bwd =
-        delivered_fwd && frame_survives(backward.value(), reverse_route, t, rng);
+    Rng rng = master_.fork(util::Fnv1a(label).add_int(t.count()));
+    sample_utilization(fwd, t);
+    sample_utilization(bwd, t);
+    const bool delivered_fwd = frame_survives(fwd, t, rng);
+    const bool delivered_bwd = delivered_fwd && frame_survives(bwd, t, rng);
     if (!delivered_fwd || !delivered_bwd) {
       stats.rtt_ms.push_back(std::nullopt);
       continue;
     }
-    const double rtt = one_way_ms(forward.value(), route, t, rng) +
-                       one_way_ms(backward.value(), reverse_route, t, rng);
+    const double rtt = one_way_ms(fwd, rng) + one_way_ms(bwd, rng);
     stats.rtt_ms.push_back(rtt);
   }
   return stats;
@@ -359,24 +376,26 @@ Result<TraceResult> Network::traceroute(const std::vector<NodeId>& route,
   if (!resolved.ok()) return Result<TraceResult>(resolved.error());
 
   TraceResult result;
-  const std::string label = route_label(route);
+  util::Fnv1a label;
+  add_route(label.add("trace:"), route).add(":");
   for (std::size_t hop = 1; hop < route.size(); ++hop) {
     const std::vector<NodeId> prefix(route.begin(),
                                      route.begin() + static_cast<std::ptrdiff_t>(hop) + 1);
     const std::vector<NodeId> reverse_prefix(prefix.rbegin(), prefix.rend());
-    const Result<RouteLinks> fwd = resolve(prefix);
-    const Result<RouteLinks> bwd = resolve(reverse_prefix);
+    Result<RouteLinks> fwd = resolve(prefix);
+    Result<RouteLinks> bwd = resolve(reverse_prefix);
     TraceHop trace_hop;
     trace_hop.node = route[hop];
     if (fwd.ok() && bwd.ok()) {
       const SimTime t =
           start + util::sim_millis(static_cast<double>(hop) * 50.0);
-      Rng rng = master_.fork("trace:" + label + ":" + std::to_string(hop) +
-                             ":" + std::to_string(t.count()));
-      if (frame_survives(fwd.value(), prefix, t, rng) &&
-          frame_survives(bwd.value(), reverse_prefix, t, rng)) {
-        trace_hop.rtt_ms = one_way_ms(fwd.value(), prefix, t, rng) +
-                           one_way_ms(bwd.value(), reverse_prefix, t, rng);
+      Rng rng = master_.fork(
+          util::Fnv1a(label).add_int(hop).add(":").add_int(t.count()));
+      sample_utilization(fwd.value(), t);
+      sample_utilization(bwd.value(), t);
+      if (frame_survives(fwd.value(), t, rng) &&
+          frame_survives(bwd.value(), t, rng)) {
+        trace_hop.rtt_ms = one_way_ms(fwd.value(), rng) + one_way_ms(bwd.value(), rng);
       }
     }
     result.hops.push_back(trace_hop);
@@ -416,7 +435,7 @@ Result<BwtestResult> Network::bwtest_loaded(
       return util::Error{ErrorCode::kTimeout,
                          "injected fault: bwtest server responding too slowly"};
     }
-    if (faults_.garbled("bwtest:" + route_label(route), start)) {
+    if (faults_.garbled("bwtest:", start, route)) {
       return util::Error{ErrorCode::kBadResponse,
                          "injected fault: garbled bwtest response"};
     }
@@ -425,8 +444,9 @@ Result<BwtestResult> Network::bwtest_loaded(
   // Server-side failure (§4.1.2 "Error Messages"): the responder is up
   // but replies with an error; the caller must tolerate it.
   {
-    Rng error_rng = master_.fork("bwerr:" + route_label(route) + ":" +
-                                 std::to_string(start.count()));
+    util::Fnv1a label;
+    add_route(label.add("bwerr:"), route).add(":").add_int(start.count());
+    Rng error_rng = master_.fork(label);
     if (error_rng.bernoulli(config_.server_error_prob)) {
       return util::Error{ErrorCode::kBadResponse,
                          "bwtestserver returned an error"};
@@ -446,12 +466,12 @@ Result<BwtestResult> Network::bwtest_loaded(
   double frame_survival = 1.0;
   double bottleneck_available = std::numeric_limits<double>::infinity();
   const SimTime mid = start + util::sim_seconds(options.duration_s / 2.0);
-  for (std::size_t i = 0; i < resolved.value().links.size(); ++i) {
-    const LinkSpec& link = *resolved.value().links[i];
-    const NodeId from = route[i];
-    const NodeId to = route[i + 1];
-    const double available =
-        link.capacity_mbps * (1.0 - utilization(from, to, mid));
+  for (const LinkId id : resolved.value().links) {
+    const LinkSpec& link = links_[id];
+    const NodeId from = link.from;
+    const NodeId to = link.to;
+    const double util = link_utilization(id, mid);
+    const double available = link.capacity_mbps * (1.0 - util);
     bottleneck_available = std::min(bottleneck_available, available);
     // Concurrent subflows on this link dilute the share: the flow gets
     // its proportional cut of the headroom.  `cross == 0` (the lone-flow
@@ -465,7 +485,7 @@ Result<BwtestResult> Network::bwtest_loaded(
     }
     const double share = std::min(1.0, available / (wire_mbps + cross));
     frame_survival *= share;
-    frame_survival *= 1.0 - frame_loss(from, to, mid);
+    frame_survival *= 1.0 - link_frame_loss(id, mid, util);
     frame_survival *= 1.0 - outage_drop(to, mid);
   }
   frame_survival = std::clamp(frame_survival, 0.0, 1.0);
@@ -473,10 +493,15 @@ Result<BwtestResult> Network::bwtest_loaded(
   // A fragmented packet is delivered only when every frame survives.
   const double packet_survival = std::pow(frame_survival, frames);
 
-  Rng rng = master_.fork("bwtest:" + route_label(route) + ":" +
-                         std::to_string(start.count()) + ":" +
-                         std::to_string(options.packet_bytes) + ":" +
-                         std::to_string(options.target_mbps));
+  util::Fnv1a label;
+  add_route(label.add("bwtest:"), route)
+      .add(":")
+      .add_int(start.count())
+      .add(":")
+      .add_fixed(options.packet_bytes)
+      .add(":")
+      .add_fixed(options.target_mbps);
+  Rng rng = master_.fork(label);
   const double measurement_noise = rng.lognormal(0.0, 0.03);
   result.achieved_mbps = std::min(
       result.attempted_mbps,

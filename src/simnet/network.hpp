@@ -234,16 +234,31 @@ class Network {
 
  private:
   struct RouteLinks {
-    std::vector<const LinkSpec*> links;  // per consecutive pair
+    std::vector<LinkId> links;  // per consecutive pair
+    /// Each link's utilization at the instant being sampled (see
+    /// `sample_utilization`): one pure draw per (link, instant), shared
+    /// by the loss and the delay model.
+    std::vector<double> util;
   };
+  /// Fork-label prefixes and diurnal phase of a link, fixed at add_link.
+  struct LinkKeys {
+    util::Fnv1a util;  ///< "util:<from>><to>:"
+    util::Fnv1a cong;  ///< "cong:<from>><to>:"
+    double phase = 0.0;
+  };
+  [[nodiscard]] std::optional<LinkId> find_link_id(NodeId from, NodeId to) const;
   [[nodiscard]] util::Result<RouteLinks> resolve(
       const std::vector<NodeId>& route) const;
+  [[nodiscard]] double link_utilization(LinkId id, util::SimTime t) const;
+  /// Per-frame loss of link `id` at `t`, given its utilization then.
+  [[nodiscard]] double link_frame_loss(LinkId id, util::SimTime t,
+                                       double utilization) const;
+  void sample_utilization(RouteLinks& route_links, util::SimTime t) const;
+  /// Delay and survival of one frame at the instant `route_links.util`
+  /// was sampled for.
   [[nodiscard]] double one_way_ms(const RouteLinks& route_links,
-                                  const std::vector<NodeId>& route,
-                                  util::SimTime t, util::Rng& rng) const;
-  /// Whether a single frame crossing the route at `t` survives.
+                                  util::Rng& rng) const;
   [[nodiscard]] bool frame_survives(const RouteLinks& route_links,
-                                    const std::vector<NodeId>& route,
                                     util::SimTime t, util::Rng& rng) const;
 
   /// bwtest core shared with multibwtest: `total_wire_mbps` (keyed by
@@ -256,10 +271,9 @@ class Network {
       const std::unordered_map<std::uint64_t, double>* total_wire_mbps,
       double own_wire_mbps) const;
 
-  [[nodiscard]] static std::string route_label(const std::vector<NodeId>& route);
-
   std::vector<NodeSpec> nodes_;
   std::vector<LinkSpec> links_;
+  std::vector<LinkKeys> link_keys_;  // parallel to links_
   std::unordered_map<std::uint64_t, LinkId> by_endpoints_;
   std::vector<OutageWindow> outages_;
   NetworkConfig config_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 namespace upin::util {
 
@@ -21,13 +22,13 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t fnv1a64(std::string_view text) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
+Fnv1a& Fnv1a::add_fixed(double value) noexcept {
+  // std::to_string(double) is specified as "%f"; print it the same way.
+  char text[400];
+  const int length = std::snprintf(text, sizeof text, "%f", value);
+  if (length <= 0) return *this;
+  return add(std::string_view(
+      text, std::min(static_cast<std::size_t>(length), sizeof text - 1)));
 }
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -39,7 +40,11 @@ Rng::Rng(std::uint64_t seed) noexcept {
 }
 
 Rng Rng::fork(std::string_view label) const noexcept {
-  std::uint64_t mix = s_[0] ^ rotl(s_[3], 17) ^ fnv1a64(label);
+  return fork(Fnv1a().add(label));
+}
+
+Rng Rng::fork(const Fnv1a& label) const noexcept {
+  std::uint64_t mix = s_[0] ^ rotl(s_[3], 17) ^ label.value();
   return Rng(splitmix64(mix));
 }
 

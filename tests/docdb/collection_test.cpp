@@ -1,5 +1,6 @@
 // Tests for docdb/collection: CRUD, batching, planner, sort/limit.
 #include "docdb/collection.hpp"
+#include "util/strings.hpp"
 
 #include <gtest/gtest.h>
 
@@ -502,7 +503,7 @@ TEST(QueryPlanner, IndexedFindPreservesInsertionOrder) {
   Collection coll("stats");
   coll.create_index("server_id");
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", "d" + std::to_string(i)},
+    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", util::format("d%d", i)},
                                                {"server_id", i % 2}}))
                     .ok());
   }
@@ -595,7 +596,7 @@ TEST(QueryPlanner, SortedStreamingMatchesScanOnTies) {
   Collection coll("stats");
   coll.create_index("v");
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", "d" + std::to_string(i)},
+    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", util::format("d%d", i)},
                                                {"v", i % 3}}))
                     .ok());
   }
@@ -614,7 +615,7 @@ TEST(QueryPlanner, SortedStreamingMatchesScanOnTies) {
 TEST(QueryPlanner, TopKHeapMatchesFullSortOnNonIndexedField) {
   Collection coll("stats");
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", "d" + std::to_string(i)},
+    ASSERT_TRUE(coll.insert_one(Value::object({{"_id", util::format("d%d", i)},
                                                {"v", (i * 37) % 50},
                                                {"tie", i % 5}}))
                     .ok());

@@ -1,5 +1,6 @@
 // Tests for docdb/database: collections, durability, write guard.
 #include "docdb/database.hpp"
+#include "util/strings.hpp"
 
 #include <gtest/gtest.h>
 
@@ -175,9 +176,7 @@ TEST_F(DurableDatabaseTest, ParallelWritersReplayToIdenticalState) {
         for (int b = 0; b < kBatches; ++b) {
           std::vector<Document> batch;
           for (int i = 0; i < kBatchSize; ++i) {
-            const std::string id = "w" + std::to_string(w) + "_b" +
-                                   std::to_string(b) + "_" +
-                                   std::to_string(i);
+            const std::string id = util::format("w%d_b%d_%d", w, b, i);
             batch.push_back(doc(("{\"_id\": \"" + id + "\", \"w\": " +
                                  std::to_string(w) + ", \"n\": " +
                                  std::to_string(b * kBatchSize + i) + "}")
@@ -295,8 +294,7 @@ TEST_F(DurableDatabaseTest, InsertsWhileCompactingLoseNothing) {
     for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&coll, w] {
         for (int i = 0; i < kPerWriter; ++i) {
-          const std::string id =
-              "w" + std::to_string(w) + "_" + std::to_string(i);
+          const std::string id = util::format("w%d_%d", w, i);
           EXPECT_TRUE(
               coll.insert_one(Value::object({{"_id", id}, {"n", i}})).ok());
         }
@@ -320,8 +318,7 @@ TEST_F(DurableDatabaseTest, InsertsWhileCompactingLoseNothing) {
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kPerWriter; ++i) {
       EXPECT_TRUE(replayed
-                      .find_by_id("w" + std::to_string(w) + "_" +
-                                  std::to_string(i))
+                      .find_by_id(util::format("w%d_%d", w, i))
                       .ok());
     }
   }

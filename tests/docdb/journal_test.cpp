@@ -1,5 +1,6 @@
 // Tests for docdb/journal: append, replay, corruption, rewrite.
 #include "docdb/journal.hpp"
+#include "util/strings.hpp"
 
 #include <gtest/gtest.h>
 
@@ -604,8 +605,7 @@ TEST_F(JournalTest, MultiThreadedWritersReplayCompleteAndPerThreadOrdered) {
       writers.emplace_back([&journal, t] {
         std::uint64_t last = 0;
         for (int i = 0; i < kPerThread; ++i) {
-          const std::string id =
-              "t" + std::to_string(t) + "_" + std::to_string(i);
+          const std::string id = util::format("t%d_%d", t, i);
           last = journal.enqueue(Journal::encode_insert(
               "paths", id, Value::object({{"_id", id}, {"n", i}})));
           ASSERT_GT(last, 0u);

@@ -341,30 +341,30 @@ TEST(SelectorScore, LowestLossTieBreaksByLatency) {
   slow.latency_ms->median = 200.0;
   UserRequest request;
   request.objective = Objective::kLowestLoss;
-  EXPECT_LT(*PathSelector::score(fast, request),
-            *PathSelector::score(slow, request));
+  EXPECT_LT(*paper_objective_score(fast, request),
+            *paper_objective_score(slow, request));
   // Any real loss difference dominates the latency tie-break.
   slow.mean_loss_pct = 0.0;
   fast.mean_loss_pct = 0.1;
-  EXPECT_GT(*PathSelector::score(fast, request),
-            *PathSelector::score(slow, request));
+  EXPECT_GT(*paper_objective_score(fast, request),
+            *paper_objective_score(slow, request));
 }
 
 TEST(SelectorScore, StaticBehaviour) {
   PathSummary summary;
   UserRequest request;
   request.objective = Objective::kLowestLatency;
-  EXPECT_FALSE(PathSelector::score(summary, request).has_value())
+  EXPECT_FALSE(paper_objective_score(summary, request).has_value())
       << "no latency data -> no score";
   summary.latency_ms = util::BoxStats{};
   summary.latency_ms->median = 42.0;
   summary.latency_samples = 3;
-  EXPECT_DOUBLE_EQ(*PathSelector::score(summary, request), 42.0);
+  EXPECT_DOUBLE_EQ(*paper_objective_score(summary, request), 42.0);
 
   request.objective = Objective::kHighestBandwidth;
-  EXPECT_FALSE(PathSelector::score(summary, request).has_value());
+  EXPECT_FALSE(paper_objective_score(summary, request).has_value());
   summary.mean_bw_down_mtu = 11.5;
-  EXPECT_DOUBLE_EQ(*PathSelector::score(summary, request), -11.5);
+  EXPECT_DOUBLE_EQ(*paper_objective_score(summary, request), -11.5);
 }
 
 TEST(RequestDescribe, MentionsAllConstraints) {

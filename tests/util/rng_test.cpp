@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace upin::util {
@@ -173,6 +176,60 @@ TEST(Fnv1a64, KnownValuesAndDistinctness) {
   EXPECT_EQ(fnv1a64(""), 0xCBF29CE484222325ULL);
   EXPECT_NE(fnv1a64("a"), fnv1a64("b"));
   EXPECT_NE(fnv1a64("ab"), fnv1a64("ba"));
+}
+
+TEST(Fnv1a, PiecewiseHashEqualsHashOfConcatenation) {
+  EXPECT_EQ(Fnv1a().value(), fnv1a64(""));
+  EXPECT_EQ(Fnv1a().add("util:").add("3>7").add(":").value(),
+            fnv1a64("util:3>7:"));
+  EXPECT_EQ(Fnv1a().add("").add("ab").add("").value(), fnv1a64("ab"));
+}
+
+TEST(Fnv1a, IntegersHashAsToStringDecimal) {
+  const auto matches = [](auto value) {
+    std::string text = "bucket:";
+    text += std::to_string(value);
+    return Fnv1a().add("bucket:").add_int(value).value() == fnv1a64(text);
+  };
+  EXPECT_TRUE(matches(0));
+  EXPECT_TRUE(matches(-1));
+  EXPECT_TRUE(matches(-987654321));
+  EXPECT_TRUE(matches(std::numeric_limits<std::int64_t>::min()));
+  EXPECT_TRUE(matches(std::numeric_limits<std::int64_t>::max()));
+  EXPECT_TRUE(matches(std::numeric_limits<std::uint32_t>::max()));
+  EXPECT_TRUE(matches(std::numeric_limits<std::uint64_t>::max()));
+  EXPECT_TRUE(matches(std::size_t{42}));
+}
+
+TEST(Fnv1a, FixedDoublesHashAsToStringText) {
+  for (const double value : {0.0, 64.0, 1472.0, 12.0, 0.1, -3.25, 1e300}) {
+    std::string text = "bw:";
+    text += std::to_string(value);
+    EXPECT_EQ(Fnv1a().add("bw:").add_fixed(value).value(), fnv1a64(text))
+        << value;
+  }
+}
+
+TEST(Fnv1a, StreamedForkEqualsStringFork) {
+  const Rng parent(99);
+  std::string label = "ping:1-4-9-:";
+  label += std::to_string(std::int64_t{123456789000});
+  Rng from_string = parent.fork(label);
+  Fnv1a streamed;
+  streamed.add("ping:").add_int(1).add("-").add_int(4).add("-").add_int(9);
+  streamed.add("-:").add_int(std::int64_t{123456789000});
+  Rng from_stream = parent.fork(streamed);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(from_string.next(), from_stream.next());
+}
+
+TEST(Fnv1a, CopiedPrefixesContinueIndependently) {
+  Fnv1a prefix;
+  prefix.add("cong:2>5:");
+  const std::uint64_t first = Fnv1a(prefix).add_int(10).value();
+  const std::uint64_t second = Fnv1a(prefix).add_int(11).value();
+  EXPECT_EQ(first, fnv1a64("cong:2>5:10"));
+  EXPECT_EQ(second, fnv1a64("cong:2>5:11"));
+  EXPECT_EQ(prefix.value(), fnv1a64("cong:2>5:"));
 }
 
 TEST(Splitmix64, AdvancesState) {

@@ -13,7 +13,8 @@ namespace {
 
 void append_number(std::string& out, std::uint64_t value, int base = 10) {
   char digits[24];
-  const char* end = std::to_chars(digits, digits + sizeof digits, value, base).ptr;
+  const char* end =
+      std::to_chars(digits, digits + sizeof digits, value, base).ptr;
   out.append(digits, static_cast<std::size_t>(end - digits));
 }
 

@@ -208,46 +208,66 @@ SimDuration Network::link_propagation(NodeId from, NodeId to) const {
 
 double Network::utilization(NodeId from, NodeId to, SimTime t) const {
   const std::optional<LinkId> id = find_link_id(from, to);
-  return id.has_value() ? link_utilization(*id, t) : 0.0;
+  return id.has_value() ? sample_link(*id, t).util : 0.0;
 }
 
 double Network::frame_loss(NodeId from, NodeId to, SimTime t) const {
   const std::optional<LinkId> id = find_link_id(from, to);
   if (!id.has_value()) return 1.0;
-  return link_frame_loss(*id, t, link_utilization(*id, t));
+  return link_frame_loss(*id, t, sample_link(*id, t));
 }
 
-double Network::link_utilization(LinkId id, SimTime t) const {
+void Network::sample_link(LinkId id, SimTime t, LinkSample& sample) const {
   const LinkSpec& link = links_[id];
   const LinkKeys& keys = link_keys_[id];
   const double seconds = util::to_seconds(t);
+
+  // Per-minute noise bucket, stable across repeated queries.
+  const auto minute = static_cast<std::int64_t>(seconds / 60.0);
+  if (minute != sample.minute) {
+    Rng noise_rng = master_.fork(util::Fnv1a(keys.util).add_int(minute));
+    sample.minute = minute;
+    sample.noise = noise_rng.normal(0.0, 0.05);
+  }
+  // Micro-congestion: some 10-second windows on some links lose a visible
+  // fraction of frames (the paper's occasional ~10% loss readings, §6.3).
+  const auto window = static_cast<std::int64_t>(seconds / 10.0);
+  if (window != sample.window) {
+    Rng window_rng = master_.fork(util::Fnv1a(keys.cong).add_int(window));
+    sample.window = window;
+    sample.congestion =
+        window_rng.bernoulli(config_.micro_congestion_prob)
+            ? window_rng.uniform(config_.micro_congestion_loss_min,
+                                 config_.micro_congestion_loss_max)
+            : 0.0;
+  }
+
   const double wave = link.util_amplitude *
                       std::sin(kTwoPi * seconds / link.util_period_s + keys.phase);
-  // Per-minute noise bucket, stable across repeated queries.
-  const auto bucket = static_cast<std::int64_t>(seconds / 60.0);
-  Rng noise_rng = master_.fork(util::Fnv1a(keys.util).add_int(bucket));
-  const double noise = noise_rng.normal(0.0, 0.05);
-  return std::clamp(link.util_base + wave + noise, 0.0, 0.97);
+  sample.util = std::clamp(link.util_base + wave + sample.noise, 0.0, 0.97);
 }
 
-double Network::link_frame_loss(LinkId id, SimTime t, double utilization) const {
+Network::LinkSample Network::sample_link(LinkId id, SimTime t) const {
+  LinkSample sample;
+  sample_link(id, t, sample);
+  return sample;
+}
+
+void Network::sample_route(RouteLinks& route_links, SimTime t) const {
+  for (std::size_t i = 0; i < route_links.links.size(); ++i) {
+    sample_link(route_links.links[i], t, route_links.samples[i]);
+  }
+}
+
+double Network::link_frame_loss(LinkId id, SimTime t,
+                                const LinkSample& sample) const {
   const LinkSpec& link = links_[id];
   // An injected link flap drops every frame for the episode's duration.
   if (faults_.link_flapped(link.from, link.to, t)) return 1.0;
-  double loss = link.base_loss;
-
-  // Micro-congestion: some 10-second windows on some links lose a visible
-  // fraction of frames (the paper's occasional ~10% loss readings, §6.3).
-  const auto bucket = static_cast<std::int64_t>(util::to_seconds(t) / 10.0);
-  Rng bucket_rng = master_.fork(util::Fnv1a(link_keys_[id].cong).add_int(bucket));
-  if (bucket_rng.bernoulli(config_.micro_congestion_prob)) {
-    loss += bucket_rng.uniform(config_.micro_congestion_loss_min,
-                               config_.micro_congestion_loss_max);
-  }
-
+  double loss = link.base_loss + sample.congestion;
   // Heavily utilized links shed additional frames.
-  if (utilization > config_.congested_util_threshold) {
-    loss += (utilization - config_.congested_util_threshold) * 2.0;
+  if (sample.util > config_.congested_util_threshold) {
+    loss += (sample.util - config_.congested_util_threshold) * 2.0;
   }
   return std::clamp(loss, 0.0, 1.0);
 }
@@ -282,14 +302,8 @@ Result<Network::RouteLinks> Network::resolve(
     }
     resolved.links.push_back(*link);
   }
-  resolved.util.resize(resolved.links.size());
+  resolved.samples.resize(resolved.links.size());
   return resolved;
-}
-
-void Network::sample_utilization(RouteLinks& route_links, SimTime t) const {
-  for (std::size_t i = 0; i < route_links.links.size(); ++i) {
-    route_links.util[i] = link_utilization(route_links.links[i], t);
-  }
 }
 
 double Network::one_way_ms(const RouteLinks& route_links, Rng& rng) const {
@@ -302,7 +316,7 @@ double Network::one_way_ms(const RouteLinks& route_links, Rng& rng) const {
     total_ms += hop.process_ms;
     total_ms += hop.jitter_ms * rng.lognormal(0.0, 0.6);
     // Queueing delay on the link, superlinear in background utilization.
-    const double util = route_links.util[i];
+    const double util = route_links.samples[i].util;
     total_ms += util * util * util * 4.0 * rng.lognormal(0.0, 0.8);
   }
   return total_ms;
@@ -312,7 +326,9 @@ bool Network::frame_survives(const RouteLinks& route_links, SimTime t,
                              Rng& rng) const {
   for (std::size_t i = 0; i < route_links.links.size(); ++i) {
     const LinkId id = route_links.links[i];
-    if (rng.bernoulli(link_frame_loss(id, t, route_links.util[i]))) return false;
+    if (rng.bernoulli(link_frame_loss(id, t, route_links.samples[i]))) {
+      return false;
+    }
     if (rng.bernoulli(outage_drop(links_[id].to, t))) return false;
   }
   return true;
@@ -356,8 +372,8 @@ Result<PingStats> Network::ping(const std::vector<NodeId>& route,
   for (std::size_t i = 0; i < options.count; ++i) {
     const SimTime t = start + options.interval * static_cast<std::int64_t>(i);
     Rng rng = master_.fork(util::Fnv1a(label).add_int(t.count()));
-    sample_utilization(fwd, t);
-    sample_utilization(bwd, t);
+    sample_route(fwd, t);
+    sample_route(bwd, t);
     const bool delivered_fwd = frame_survives(fwd, t, rng);
     const bool delivered_bwd = delivered_fwd && frame_survives(bwd, t, rng);
     if (!delivered_fwd || !delivered_bwd) {
@@ -391,11 +407,12 @@ Result<TraceResult> Network::traceroute(const std::vector<NodeId>& route,
           start + util::sim_millis(static_cast<double>(hop) * 50.0);
       Rng rng = master_.fork(
           util::Fnv1a(label).add_int(hop).add(":").add_int(t.count()));
-      sample_utilization(fwd.value(), t);
-      sample_utilization(bwd.value(), t);
+      sample_route(fwd.value(), t);
+      sample_route(bwd.value(), t);
       if (frame_survives(fwd.value(), t, rng) &&
           frame_survives(bwd.value(), t, rng)) {
-        trace_hop.rtt_ms = one_way_ms(fwd.value(), rng) + one_way_ms(bwd.value(), rng);
+        trace_hop.rtt_ms =
+            one_way_ms(fwd.value(), rng) + one_way_ms(bwd.value(), rng);
       }
     }
     result.hops.push_back(trace_hop);
@@ -470,8 +487,8 @@ Result<BwtestResult> Network::bwtest_loaded(
     const LinkSpec& link = links_[id];
     const NodeId from = link.from;
     const NodeId to = link.to;
-    const double util = link_utilization(id, mid);
-    const double available = link.capacity_mbps * (1.0 - util);
+    const LinkSample sample = sample_link(id, mid);
+    const double available = link.capacity_mbps * (1.0 - sample.util);
     bottleneck_available = std::min(bottleneck_available, available);
     // Concurrent subflows on this link dilute the share: the flow gets
     // its proportional cut of the headroom.  `cross == 0` (the lone-flow
@@ -485,7 +502,7 @@ Result<BwtestResult> Network::bwtest_loaded(
     }
     const double share = std::min(1.0, available / (wire_mbps + cross));
     frame_survival *= share;
-    frame_survival *= 1.0 - link_frame_loss(id, mid, util);
+    frame_survival *= 1.0 - link_frame_loss(id, mid, sample);
     frame_survival *= 1.0 - outage_drop(to, mid);
   }
   frame_survival = std::clamp(frame_survival, 0.0, 1.0);

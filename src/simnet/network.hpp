@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -233,12 +234,20 @@ class Network {
   [[nodiscard]] double outage_drop(NodeId node, util::SimTime t) const;
 
  private:
+  /// A link's state at one instant.  Its per-bucket draws (minute
+  /// utilization noise, 10 s micro-congestion) are pure functions of
+  /// (seed, link, bucket), so a sample refreshed at a later instant of the
+  /// same bucket keeps them instead of forking again.
+  struct LinkSample {
+    std::int64_t minute = std::numeric_limits<std::int64_t>::min();
+    double noise = 0.0;
+    std::int64_t window = std::numeric_limits<std::int64_t>::min();
+    double congestion = 0.0;  ///< extra frame loss of a congested window
+    double util = 0.0;        ///< utilization at the sampled instant
+  };
   struct RouteLinks {
-    std::vector<LinkId> links;  // per consecutive pair
-    /// Each link's utilization at the instant being sampled (see
-    /// `sample_utilization`): one pure draw per (link, instant), shared
-    /// by the loss and the delay model.
-    std::vector<double> util;
+    std::vector<LinkId> links;        // per consecutive pair
+    std::vector<LinkSample> samples;  // per link, at the instant last sampled
   };
   /// Fork-label prefixes and diurnal phase of a link, fixed at add_link.
   struct LinkKeys {
@@ -249,13 +258,15 @@ class Network {
   [[nodiscard]] std::optional<LinkId> find_link_id(NodeId from, NodeId to) const;
   [[nodiscard]] util::Result<RouteLinks> resolve(
       const std::vector<NodeId>& route) const;
-  [[nodiscard]] double link_utilization(LinkId id, util::SimTime t) const;
-  /// Per-frame loss of link `id` at `t`, given its utilization then.
+  /// Bring `sample` of link `id` to instant `t`.
+  void sample_link(LinkId id, util::SimTime t, LinkSample& sample) const;
+  [[nodiscard]] LinkSample sample_link(LinkId id, util::SimTime t) const;
+  void sample_route(RouteLinks& route_links, util::SimTime t) const;
+  /// Per-frame loss of link `id` at `t`, given its sample at `t`.
   [[nodiscard]] double link_frame_loss(LinkId id, util::SimTime t,
-                                       double utilization) const;
-  void sample_utilization(RouteLinks& route_links, util::SimTime t) const;
-  /// Delay and survival of one frame at the instant `route_links.util`
-  /// was sampled for.
+                                       const LinkSample& sample) const;
+  /// Delay and survival of one frame at the instant `route_links` was
+  /// sampled for.
   [[nodiscard]] double one_way_ms(const RouteLinks& route_links,
                                   util::Rng& rng) const;
   [[nodiscard]] bool frame_survives(const RouteLinks& route_links,

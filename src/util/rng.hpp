@@ -37,9 +37,9 @@ class Fnv1a {
   /// Absorb `value` as decimal text — the same bytes `std::to_string`
   /// writes for an integer.
   template <std::integral T>
-    requires(!std::same_as<T, bool>)
+    requires(!std::same_as<T, bool> && sizeof(T) <= 8)
   Fnv1a& add_int(T value) noexcept {
-    char digits[24];
+    char digits[24];  // "-9223372036854775808" is 20 bytes
     const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
     return add(std::string_view(digits, static_cast<std::size_t>(end - digits)));
   }

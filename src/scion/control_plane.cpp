@@ -63,7 +63,7 @@ std::vector<Path> ControlPlane::resolve_raw(IsdAsn src, IsdAsn dst,
 
 std::vector<Path> ControlPlane::live_paths(IsdAsn src, IsdAsn dst,
                                            SimTime now) {
-  const std::string key = src.to_string() + ">" + dst.to_string();
+  const AsPair key{src, dst};
   const auto memo = live_replies_.find(key);
   if (memo != live_replies_.end() && memo->second.at == now) {
     return memo->second.paths;
@@ -98,7 +98,9 @@ std::vector<Path> ControlPlane::annotated_paths(IsdAsn src, IsdAsn dst,
 
 util::Status ControlPlane::restore(const util::Value& snapshot,
                                    SimTime as_of) {
-  const util::Status status = cache_.restore(snapshot);
+  const util::Status status = cache_.restore(
+      snapshot,
+      [this](IsdAsn from, IsdAsn to) { return beaconing_.paths(from, to); });
   if (!status.ok()) return status;
   live_replies_.clear();
   revocations_.advance_cursor_to(as_of);

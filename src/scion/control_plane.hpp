@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -92,11 +91,13 @@ class ControlPlane {
   [[nodiscard]] PathCache& cache() noexcept { return cache_; }
   [[nodiscard]] const PathCache& cache() const noexcept { return cache_; }
 
-  /// Checkpoint support: the cache is the only state that needs saving
-  /// (the revocation log is a pure function of the seed and fault plan).
-  /// `restore` replaces the cache content and fast-forwards the delivery
-  /// cursor to `as_of` without re-invalidating — the snapshot already
-  /// reflects those deliveries.
+  /// Checkpoint support: the cache's keys, resolve times and dirty flags
+  /// are the only state that needs saving (the revocation log is a pure
+  /// function of the seed and fault plan, and cached paths are
+  /// `Beaconing::paths`, a pure function of the topology).  `restore`
+  /// replaces the cache content, re-deriving paths through beaconing, and
+  /// fast-forwards the delivery cursor to `as_of` without re-invalidating
+  /// — the snapshot already reflects those deliveries.
   [[nodiscard]] util::Value checkpoint() const { return cache_.snapshot(); }
   [[nodiscard]] util::Status restore(const util::Value& snapshot,
                                      util::SimTime as_of);
@@ -117,7 +118,7 @@ class ControlPlane {
   PathCache cache_;
   /// Server-down windows of the local AS node (metric-free query path).
   std::vector<simnet::FaultWindow> local_down_windows_;
-  std::unordered_map<std::string, LiveReply> live_replies_;
+  std::unordered_map<AsPair, LiveReply, AsPairHash> live_replies_;
 };
 
 }  // namespace upin::scion

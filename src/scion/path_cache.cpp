@@ -33,10 +33,6 @@ struct CacheMetrics {
 
 PathCache::PathCache(PathCacheConfig config) : config_(config) {}
 
-std::string PathCache::make_key(IsdAsn src, IsdAsn dst) {
-  return src.to_string() + ">" + dst.to_string();
-}
-
 std::vector<Path> PathCache::flag_stale(std::vector<Path> paths) {
   for (Path& path : paths) path.set_status("stale");
   return paths;
@@ -48,7 +44,7 @@ void PathCache::touch(EntryList::iterator it) {
 
 void PathCache::evict_to_capacity() {
   while (index_.size() > config_.capacity && !entries_.empty()) {
-    index_.erase(entries_.back().key);
+    index_.erase(entries_.back().pair);
     entries_.pop_back();
     ++stats_.evictions;
     CacheMetrics::get().evictions.add();
@@ -56,7 +52,7 @@ void PathCache::evict_to_capacity() {
 }
 
 void PathCache::refresh(Entry& entry, SimTime now, const Resolver& resolve) {
-  entry.paths = resolve(entry.src, entry.dst);
+  entry.paths = resolve(entry.pair.src, entry.pair.dst);
   entry.resolved_at = now;
   entry.negative = entry.paths.empty();
   entry.dirty = false;
@@ -73,7 +69,7 @@ PathCacheLookup PathCache::lookup(IsdAsn src, IsdAsn dst, SimTime now,
     return result;
   }
   CacheMetrics& metrics = CacheMetrics::get();
-  const std::string key = make_key(src, dst);
+  const AsPair key{src, dst};
   const auto found = index_.find(key);
 
   if (found == index_.end()) {
@@ -84,7 +80,7 @@ PathCacheLookup PathCache::lookup(IsdAsn src, IsdAsn dst, SimTime now,
       result.negative = true;
       return result;
     }
-    entries_.push_front(Entry{key, src, dst, resolve(src, dst), now});
+    entries_.push_front(Entry{key, resolve(src, dst), now});
     Entry& entry = entries_.front();
     entry.negative = entry.paths.empty();
     index_[key] = entries_.begin();
@@ -187,36 +183,15 @@ std::size_t PathCache::invalidate_if(
   return marked;
 }
 
-void PathCache::clear() {
-  entries_.clear();
-  index_.clear();
-}
-
 Value PathCache::snapshot() const {
-  // Built by moving each value into place: `Value::object({...})` would
-  // deep-copy every nested array out of its const initializer list.
   Value::Array entries;
   entries.reserve(entries_.size());
   for (const Entry& entry : entries_) {  // front-to-back == LRU order
-    Value::Array paths;
-    paths.reserve(entry.paths.size());
-    for (const Path& path : entry.paths) {
-      util::JsonObject encoded;
-      encoded.set("sequence", path.sequence());
-      encoded.set("mtu", path.mtu());
-      encoded.set("static_latency_ns", path.static_latency().count());
-      encoded.set("created_at_ns", path.created_at().count());
-      encoded.set("expires_at_ns", path.expires_at().count());
-      encoded.set("status", path.status());
-      paths.emplace_back(std::move(encoded));
-    }
     util::JsonObject encoded;
-    encoded.set("src", entry.src.to_string());
-    encoded.set("dst", entry.dst.to_string());
+    encoded.set("src", entry.pair.src.to_string());
+    encoded.set("dst", entry.pair.dst.to_string());
     encoded.set("resolved_at_ns", entry.resolved_at.count());
-    encoded.set("negative", entry.negative);
     encoded.set("dirty", entry.dirty);
-    encoded.set("paths", std::move(paths));
     entries.emplace_back(std::move(encoded));
   }
   util::JsonObject snapshot;
@@ -224,66 +199,56 @@ Value PathCache::snapshot() const {
   return Value(std::move(snapshot));
 }
 
-util::Status PathCache::restore(const Value& value) {
+util::Status PathCache::restore(const Value& value, const Resolver& resolve) {
+  const auto malformed = [](const char* message) {
+    return util::Status(util::ErrorCode::kParseError, message);
+  };
   const Value* entries = value.get("entries");
   if (entries == nullptr || !entries->is_array()) {
-    return util::Status(util::ErrorCode::kParseError,
-                        "path cache snapshot: missing entries array");
+    return malformed("path cache snapshot: missing entries array");
   }
-  clear();
-  // Iterate the snapshot back-to-front and push_front, so the serialized
-  // LRU order (front = most recent) is reproduced exactly.
-  const Value::Array& list = entries->as_array();
-  for (auto it = list.rbegin(); it != list.rend(); ++it) {
-    const Value& item = *it;
-    const Value* src_text = item.get("src");
-    const Value* dst_text = item.get("dst");
-    const Value* resolved_at = item.get("resolved_at_ns");
-    const Value* paths = item.get("paths");
-    if (src_text == nullptr || dst_text == nullptr || resolved_at == nullptr ||
-        paths == nullptr || !paths->is_array()) {
-      return util::Status(util::ErrorCode::kParseError,
-                          "path cache snapshot: malformed entry");
+  // Parse into locals first and swap in only once every entry is valid.
+  // Iterating back-to-front with push_front reproduces the serialized LRU
+  // order (front = most recent).
+  EntryList list;
+  Index index;
+  const Value::Array& items = entries->as_array();
+  for (auto it = items.rbegin(); it != items.rend(); ++it) {
+    const Value* src_text = it->get("src");
+    const Value* dst_text = it->get("dst");
+    const Value* resolved_at = it->get("resolved_at_ns");
+    const Value* dirty = it->get("dirty");
+    if (src_text == nullptr || !src_text->is_string() || dst_text == nullptr ||
+        !dst_text->is_string() || resolved_at == nullptr ||
+        !resolved_at->is_int() || dirty == nullptr || !dirty->is_bool()) {
+      return malformed("path cache snapshot: malformed entry");
     }
     const util::Result<IsdAsn> src = IsdAsn::parse(src_text->as_string());
     const util::Result<IsdAsn> dst = IsdAsn::parse(dst_text->as_string());
     if (!src.ok()) return util::Status(src.error());
     if (!dst.ok()) return util::Status(dst.error());
 
-    Entry entry;
-    entry.src = src.value();
-    entry.dst = dst.value();
-    entry.key = make_key(entry.src, entry.dst);
-    entry.resolved_at = SimTime(util::SimDuration(resolved_at->as_int()));
-    const Value* negative = item.get("negative");
-    const Value* dirty = item.get("dirty");
-    entry.negative = negative != nullptr && negative->as_bool();
-    entry.dirty = dirty != nullptr && dirty->as_bool();
-    for (const Value& encoded : paths->as_array()) {
-      const Value* sequence = encoded.get("sequence");
-      if (sequence == nullptr) {
-        return util::Status(util::ErrorCode::kParseError,
-                            "path cache snapshot: path without sequence");
-      }
-      util::Result<Path> parsed = Path::parse_sequence(sequence->as_string());
-      if (!parsed.ok()) return util::Status(parsed.error());
-      const Value* mtu = encoded.get("mtu");
-      const Value* latency = encoded.get("static_latency_ns");
-      const Value* created = encoded.get("created_at_ns");
-      const Value* expires = encoded.get("expires_at_ns");
-      const Value* status = encoded.get("status");
-      Path path(parsed.value().hops(),
-                mtu != nullptr ? mtu->as_double() : 0.0,
-                util::SimDuration(latency != nullptr ? latency->as_int() : 0));
-      path.set_lifetime(
-          SimTime(util::SimDuration(created != nullptr ? created->as_int() : 0)),
-          SimTime(util::SimDuration(expires != nullptr ? expires->as_int() : 0)));
-      if (status != nullptr) path.set_status(status->as_string());
-      entry.paths.push_back(std::move(path));
+    list.push_front(Entry{AsPair{src.value(), dst.value()},
+                          {},
+                          SimTime(util::SimDuration(resolved_at->as_int())),
+                          false,
+                          dirty->as_bool()});
+    if (!index.emplace(list.front().pair, list.begin()).second) {
+      return malformed("path cache snapshot: duplicate entry");
     }
-    entries_.push_front(std::move(entry));
-    index_[entries_.front().key] = entries_.begin();
   }
+
+  // Valid: derive the paths, reusing what is cached so a resume that
+  // fast-forwards through many checkpoints recombines each pair once.
+  for (Entry& entry : list) {
+    const auto cached = index_.find(entry.pair);
+    entry.paths = cached != index_.end()
+                      ? std::move(cached->second->paths)
+                      : resolve(entry.pair.src, entry.pair.dst);
+    entry.negative = entry.paths.empty();
+  }
+  entries_.swap(list);  // swap keeps the new index's iterators valid
+  index_.swap(index);
   evict_to_capacity();
   return util::Status::success();
 }

@@ -23,16 +23,17 @@
 // fresh recombination under the same filter — the invariant the
 // `fig4_reachability --churn` bench pins.
 //
-// The cache is checkpointable: `snapshot()`/`restore()` round-trip the
-// complete observable state (entries, LRU order, timestamps, flags) as a
-// util::Value so a crashed campaign resumes with the identical cache
-// trajectory.  Not thread-safe; one cache belongs to one host.
+// The cache is checkpointable by key, not by content: `snapshot()` writes
+// each entry's (src, dst) pair, resolve time and dirty flag in LRU order,
+// and `restore()` re-derives the paths through the resolver.  Since the
+// resolver is pure, that reproduces the complete observable state, so a
+// crashed campaign resumes with the identical cache trajectory.  Not
+// thread-safe; one cache belongs to one host.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +43,21 @@
 #include "util/result.hpp"
 
 namespace upin::scion {
+
+/// An ordered (src, dst) AS pair: the key of the path cache and of the
+/// control plane's live-reply memo.
+struct AsPair {
+  IsdAsn src{};
+  IsdAsn dst{};
+  friend bool operator==(const AsPair&, const AsPair&) = default;
+};
+
+struct AsPairHash {
+  std::size_t operator()(const AsPair& pair) const noexcept {
+    const std::hash<IsdAsn> hash;
+    return hash(pair.src) * 0x9e3779b97f4a7c15ULL ^ hash(pair.dst);
+  }
+};
 
 struct PathCacheConfig {
   bool enabled = true;
@@ -62,7 +78,8 @@ struct PathCacheLookup {
 
 class PathCache {
  public:
-  /// Resolves (src, dst) to paths — in practice Beaconing::paths.
+  /// Resolves (src, dst) to paths — in practice Beaconing::paths.  Must
+  /// be a pure function of the pair: restore() relies on it.
   using Resolver = std::function<std::vector<Path>(IsdAsn, IsdAsn)>;
 
   /// Local per-instance counters (the obs registry is process-global and
@@ -90,33 +107,35 @@ class PathCache {
   /// entries re-resolve on their next lookup.  Returns entries marked.
   std::size_t invalidate_if(const std::function<bool(const Path&)>& covered);
 
-  void clear();
   [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const PathCacheConfig& config() const noexcept {
     return config_;
   }
 
-  /// Complete observable state (entries in LRU order, timestamps, flags)
-  /// for campaign checkpointing.  restore() replaces the current content;
-  /// the local Stats counters are not part of the snapshot (the obs
-  /// registry carries the metrics story).
+  /// What cannot be re-derived, for campaign checkpointing: per entry in
+  /// LRU order its pair, resolve time and dirty flag.  Neither paths nor
+  /// the local Stats counters are part of it.
   [[nodiscard]] util::Value snapshot() const;
-  [[nodiscard]] util::Status restore(const util::Value& value);
+
+  /// Replace the content with `value`'s entries, or fail and change
+  /// nothing.  Each entry's paths come from the entry already cached for
+  /// the pair, else from `resolve`.  Per-entry `paths`/`negative` fields
+  /// (the older by-content format) are ignored.
+  [[nodiscard]] util::Status restore(const util::Value& value,
+                                     const Resolver& resolve);
 
  private:
   struct Entry {
-    std::string key;
-    IsdAsn src{};
-    IsdAsn dst{};
+    AsPair pair;
     std::vector<Path> paths;
     util::SimTime resolved_at{};
     bool negative = false;
     bool dirty = false;
   };
   using EntryList = std::list<Entry>;
+  using Index = std::unordered_map<AsPair, EntryList::iterator, AsPairHash>;
 
-  [[nodiscard]] static std::string make_key(IsdAsn src, IsdAsn dst);
   void refresh(Entry& entry, util::SimTime now, const Resolver& resolve);
   void touch(EntryList::iterator it);
   void evict_to_capacity();
@@ -124,7 +143,7 @@ class PathCache {
 
   PathCacheConfig config_{};
   EntryList entries_;  ///< front = most recently used
-  std::unordered_map<std::string, EntryList::iterator> index_;
+  Index index_;
   Stats stats_{};
 };
 

@@ -240,9 +240,9 @@ TEST_F(CrossBuildGolden, CampaignDocumentsDigest) {
   ASSERT_FALSE(stats.empty());
   ASSERT_FALSE(checkpoints.empty());
   EXPECT_EQ(stats.size(), 12627u);
-  EXPECT_EQ(checkpoints.size(), 276152u);
+  EXPECT_EQ(checkpoints.size(), 2726u);
   EXPECT_EQ(digest(stats), "319bf3e778fc0099eb7e687c05fc56ea290cb0beae0c813ed69ff1d54c20c2b4");
-  EXPECT_EQ(digest(checkpoints), "eb8a87c601b213542f00041189614fb611db17d8645af0022bbf31d452193020");
+  EXPECT_EQ(digest(checkpoints), "ca19d0849a0496f603749d940c5e3fd47f50f3f2d362dbb40ae3c1d30b6906eb");
 }
 
 }  // namespace

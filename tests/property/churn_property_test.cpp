@@ -7,7 +7,9 @@
 //      a policy-conformant live alternative instead of surfacing the
 //      error.
 //   3. Kill-then-resume under the same storm is bit-identical: same
-//      paths_stats documents AND the same final path-cache state.
+//      paths_stats documents AND the same final path-cache state — for
+//      a kill after the second batch, and for a kill at every unit
+//      boundary of a stepped campaign.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -216,6 +218,95 @@ TEST(ControlPlaneChurn, KillThenResumeIsBitIdenticalUnderStorm) {
         << "the resumed cache trajectory diverged from the uninterrupted run";
   }
   std::filesystem::remove(journal);
+}
+
+TEST(ControlPlaneChurn, KillAtEveryUnitBoundaryResumesBitIdentical) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  simnet::NetworkConfig net = storm_config();
+  net.faults.garble_prob = 0.1;
+  net.faults.server_down_per_hour = 0.5;
+  measure::TestSuiteConfig config;
+  config.iterations = 3;
+  config.server_ids = {{3, 5}};
+
+  using Documents = std::map<std::string, std::string>;
+  const auto documents = [](docdb::Database& db, const char* collection) {
+    Documents docs;
+    db.collection(collection).for_each([&](const docdb::Document& doc) {
+      docs.emplace(std::string(docdb::document_id(doc).value_or("")),
+                   doc.dump());
+    });
+    return docs;
+  };
+  const auto expect_same = [](const Documents& got, const Documents& want,
+                              const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (const auto& [id, json] : want) {
+      const auto it = got.find(id);
+      ASSERT_NE(it, got.end()) << what << ": missing document " << id;
+      EXPECT_EQ(it->second, json) << what << ": document " << id;
+    }
+  };
+
+  // Reference: the same campaign, never interrupted.
+  Documents reference_stats;
+  Documents reference_checkpoints;
+  std::string reference_cache;
+  std::size_t units = 0;
+  {
+    apps::ScionHost host(env, 42, env.user_as, "10.0.8.1", net);
+    docdb::Database db;
+    measure::TestSuite suite(host, db, config);
+    ASSERT_TRUE(suite.run().ok());
+    units = suite.planned_units();
+    reference_stats = documents(db, measure::kPathsStats);
+    reference_checkpoints = documents(db, measure::kCampaignCheckpoints);
+    reference_cache = host.control_plane().checkpoint().dump();
+  }
+  ASSERT_EQ(units, 6u);
+  ASSERT_EQ(reference_checkpoints.size(), units);
+
+  std::size_t dirty_entries_resumed = 0;
+  for (std::size_t k = 1; k < units; ++k) {
+    const std::string label = "killed after unit " + std::to_string(k);
+    docdb::Database db;
+    {
+      apps::ScionHost host(env, 42, env.user_as, "10.0.8.1", net);
+      measure::TestSuite suite(host, db, config);
+      ASSERT_TRUE(suite.begin().ok());
+      for (std::size_t unit = 0; unit < k; ++unit) {
+        const auto outcome = suite.step();
+        ASSERT_TRUE(outcome.ok()) << label;
+        ASSERT_EQ(outcome.value(), measure::TestSuite::StepOutcome::kRan);
+      }
+    }  // the kill: suite, host and cache are gone; the database remains
+
+    db.collection(measure::kCampaignCheckpoints)
+        .for_each([&](const docdb::Document& doc) {
+          for (const util::Value& entry :
+               doc.get_path("path_cache.entries")->as_array()) {
+            if (entry.get("dirty")->as_bool()) ++dirty_entries_resumed;
+          }
+        });
+
+    // Resume on a fresh host with a fresh, empty cache.
+    apps::ScionHost host(env, 42, env.user_as, "10.0.8.1", net);
+    measure::TestSuiteConfig resuming = config;
+    resuming.skip_collection = true;
+    resuming.resume = true;
+    measure::TestSuite suite(host, db, resuming);
+    ASSERT_TRUE(suite.run().ok()) << label;
+    EXPECT_EQ(suite.progress().units_skipped, k) << label;
+    expect_same(documents(db, measure::kPathsStats), reference_stats,
+                label + ", paths_stats");
+    expect_same(documents(db, measure::kCampaignCheckpoints),
+                reference_checkpoints, label + ", campaign_checkpoints");
+    EXPECT_EQ(host.control_plane().checkpoint().dump(), reference_cache)
+        << label << ": the resumed cache trajectory diverged";
+  }
+  EXPECT_GT(dirty_entries_resumed, 0u)
+      << "no resumed checkpoint held a dirty entry: the sweep never "
+         "restored a revocation-invalidated cache";
 }
 
 }  // namespace

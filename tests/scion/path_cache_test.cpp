@@ -1,6 +1,6 @@
 // Tests for scion/path_cache: TTL, stale-while-revalidate, negative
-// entries, LRU bounds, revocation-driven invalidation, and the
-// snapshot/restore round-trip behind crash-safe campaign resume.
+// entries, LRU bounds, revocation-driven invalidation, and the by-key
+// snapshot/restore behind crash-safe campaign resume.
 #include "scion/path_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -217,41 +217,176 @@ TEST(PathCache, DisabledCacheBypassesToTheResolver) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(PathCache, SnapshotRestoreRoundTripsObservableState) {
-  PathCache cache(PathCacheConfig{.negative_ttl_s = 30.0});
-  CountingResolver resolver;
-  (void)cache.lookup(kSrc, kDst, util::sim_seconds(5.0), resolver.fn());
-  CountingResolver empty;
-  empty.answer.clear();
-  (void)cache.lookup(kSrc, IsdAsn{1, 7}, util::sim_seconds(6.0), empty.fn());
-  (void)cache.invalidate_if(
-      [](const Path& path) { return path.traverses(IsdAsn{1, 2}); });
+const IsdAsn kUnreachable{1, 7};
 
+/// A resolver that is a pure function of the pair, as restore() requires:
+/// nothing to kUnreachable, one 3-hop path via AS 1-2 to anywhere else.
+struct PureResolver {
+  std::size_t calls = 0;
+
+  PathCache::Resolver fn() {
+    return [this](IsdAsn src, IsdAsn dst) {
+      ++calls;
+      std::vector<Path> paths;
+      if (dst != kUnreachable) {
+        paths.push_back(make_path(src.asn(), 2, dst.asn()));
+      }
+      return paths;
+    };
+  }
+};
+
+/// A cache holding a dirty positive entry (kSrc, kDst), a negative entry
+/// (kSrc, kUnreachable), and a clean positive entry (kSrc, 1-9) in front.
+PathCache populated_cache(PureResolver& resolver) {
+  PathCache cache(PathCacheConfig{.negative_ttl_s = 30.0});
+  (void)cache.lookup(kSrc, kDst, util::sim_seconds(5.0), resolver.fn());
+  (void)cache.lookup(kSrc, kUnreachable, util::sim_seconds(6.0),
+                     resolver.fn());
+  (void)cache.invalidate_if(
+      [](const Path& path) { return path.traverses(IsdAsn{1, 3}); });
+  (void)cache.lookup(kSrc, IsdAsn{1, 9}, util::sim_seconds(7.0),
+                     resolver.fn());
+  return cache;
+}
+
+TEST(PathCache, SnapshotRestoreRoundTripsObservableState) {
+  PureResolver resolver;
+  PathCache cache = populated_cache(resolver);
   const util::Value snapshot = cache.snapshot();
+  for (const util::Value& entry : snapshot.get("entries")->as_array()) {
+    EXPECT_EQ(entry.get("paths"), nullptr) << "paths are re-derived";
+  }
+
   PathCache restored(cache.config());
-  ASSERT_TRUE(restored.restore(snapshot).ok());
+  ASSERT_TRUE(restored.restore(snapshot, resolver.fn()).ok());
   EXPECT_EQ(restored.size(), cache.size());
   // The full observable state (entries, LRU order, timestamps, flags)
   // must survive the round trip bit-for-bit.
   EXPECT_EQ(restored.snapshot().dump(), snapshot.dump());
 
-  // Behavioural equivalence: the restored dirty entry still re-resolves,
-  // the restored negative entry still answers empty from the cache.
-  CountingResolver after;
-  EXPECT_TRUE(
-      restored.lookup(kSrc, kDst, util::sim_seconds(7.0), after.fn()).refreshed);
-  EXPECT_EQ(after.calls, 1u);
-  const PathCacheLookup negative =
-      restored.lookup(kSrc, IsdAsn{1, 7}, util::sim_seconds(8.0), after.fn());
-  EXPECT_TRUE(negative.negative);
-  EXPECT_TRUE(negative.hit);
-  EXPECT_EQ(after.calls, 1u);
+  // Behavioural equivalence: the dirty entry still re-resolves, the
+  // negative entry still answers empty from the cache, the clean entry
+  // hits with the re-derived paths.
+  for (PathCache* side : {&cache, &restored}) {
+    PureResolver after;
+    const PathCacheLookup dirty =
+        side->lookup(kSrc, kDst, util::sim_seconds(8.0), after.fn());
+    EXPECT_TRUE(dirty.refreshed);
+    EXPECT_EQ(after.calls, 1u);
+    const PathCacheLookup negative =
+        side->lookup(kSrc, kUnreachable, util::sim_seconds(9.0), after.fn());
+    EXPECT_TRUE(negative.negative);
+    EXPECT_TRUE(negative.hit);
+    const PathCacheLookup clean =
+        side->lookup(kSrc, IsdAsn{1, 9}, util::sim_seconds(10.0), after.fn());
+    EXPECT_TRUE(clean.hit);
+    EXPECT_EQ(clean.paths, std::vector<Path>{make_path(1, 2, 9)});
+    EXPECT_EQ(after.calls, 1u);
+  }
+}
+
+/// The by-content format older builds wrote: every path spelled out, plus
+/// a `negative` flag.
+util::Value by_content_snapshot(const PathCache& cache,
+                                const PathCache::Resolver& resolve) {
+  util::Value snapshot = cache.snapshot();
+  for (util::Value& entry : snapshot.as_object().find("entries")->as_array()) {
+    const IsdAsn src = IsdAsn::parse(entry.get("src")->as_string()).value();
+    const IsdAsn dst = IsdAsn::parse(entry.get("dst")->as_string()).value();
+    util::Value::Array paths;
+    for (const Path& path : resolve(src, dst)) {
+      paths.push_back(util::Value::object({
+          {"sequence", path.sequence()},
+          {"mtu", path.mtu()},
+          {"static_latency_ns", path.static_latency().count()},
+          {"created_at_ns", path.created_at().count()},
+          {"expires_at_ns", path.expires_at().count()},
+          {"status", path.status()},
+      }));
+    }
+    entry["negative"] = paths.empty();
+    entry["paths"] = std::move(paths);
+  }
+  return snapshot;
+}
+
+TEST(PathCache, RestoresByContentSnapshotsFromOlderBuilds) {
+  PureResolver resolver;
+  const PathCache cache = populated_cache(resolver);
+  const util::Value current = cache.snapshot();
+  const util::Value older = by_content_snapshot(cache, resolver.fn());
+  ASSERT_NE(older.dump(), current.dump());
+
+  PathCache from_current(cache.config());
+  PathCache from_older(cache.config());
+  ASSERT_TRUE(from_current.restore(current, resolver.fn()).ok());
+  ASSERT_TRUE(from_older.restore(older, resolver.fn()).ok());
+  EXPECT_EQ(from_older.snapshot().dump(), current.dump());
+
+  for (const IsdAsn dst : {kDst, kUnreachable, IsdAsn{1, 9}}) {
+    PureResolver a;
+    PureResolver b;
+    const PathCacheLookup want =
+        from_current.lookup(kSrc, dst, util::sim_seconds(8.0), a.fn());
+    const PathCacheLookup got =
+        from_older.lookup(kSrc, dst, util::sim_seconds(8.0), b.fn());
+    EXPECT_EQ(got.paths, want.paths) << dst.to_string();
+    EXPECT_EQ(got.hit, want.hit) << dst.to_string();
+    EXPECT_EQ(got.negative, want.negative) << dst.to_string();
+    EXPECT_EQ(got.refreshed, want.refreshed) << dst.to_string();
+    EXPECT_EQ(b.calls, a.calls) << dst.to_string();
+  }
+}
+
+TEST(PathCache, RepeatedRestoreResolvesEachPairOnce) {
+  PureResolver resolver;
+  const util::Value snapshot = populated_cache(resolver).snapshot();
+  PureResolver counted;
+  PathCache restored(PathCacheConfig{.negative_ttl_s = 30.0});
+  ASSERT_TRUE(restored.restore(snapshot, counted.fn()).ok());
+  ASSERT_TRUE(restored.restore(snapshot, counted.fn()).ok());
+  EXPECT_EQ(counted.calls, 3u) << "one resolve per pair across both restores";
+  EXPECT_EQ(restored.snapshot().dump(), snapshot.dump());
 }
 
 TEST(PathCache, RestoreRejectsMalformedSnapshots) {
   PathCache cache;
-  EXPECT_FALSE(cache.restore(util::Value()).ok());
-  EXPECT_FALSE(cache.restore(util::Value::object({})).ok());
+  PureResolver resolver;
+  EXPECT_FALSE(cache.restore(util::Value(), resolver.fn()).ok());
+  EXPECT_FALSE(cache.restore(util::Value::object({}), resolver.fn()).ok());
+}
+
+TEST(PathCache, FailedRestoreLeavesTheCacheUntouched) {
+  PureResolver resolver;
+  PathCache cache = populated_cache(resolver);
+  const std::string before = cache.snapshot().dump();
+
+  const auto with_entries = [](util::Value::Array entries) {
+    return util::Value::object({{"entries", std::move(entries)}});
+  };
+  const util::Value good = util::Value::object({{"src", "1-1"},
+                                                {"dst", "1-4"},
+                                                {"resolved_at_ns", 0},
+                                                {"dirty", false}});
+  util::Value wrong_src = good;
+  wrong_src["src"] = 11;
+  util::Value wrong_time = good;
+  wrong_time["resolved_at_ns"] = "soon";
+  const util::Value malformed = util::Value::object({{"src", "1-1"}});
+
+  // Entries are parsed back to front: {malformed, good} and the duplicate
+  // fail after a valid entry was already taken.
+  for (const util::Value& snapshot :
+       {with_entries({wrong_src}), with_entries({wrong_time}),
+        with_entries({good, malformed}), with_entries({malformed, good}),
+        with_entries({good, good})}) {
+    EXPECT_FALSE(cache.restore(snapshot, resolver.fn()).ok())
+        << snapshot.dump();
+    EXPECT_EQ(cache.snapshot().dump(), before) << snapshot.dump();
+  }
+  EXPECT_TRUE(cache.restore(with_entries({good}), resolver.fn()).ok());
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

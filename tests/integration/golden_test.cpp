@@ -4,9 +4,12 @@
 // a change that silently moves every RNG fork seed (a different label
 // text, a different hash) would pass them all.  This file pins fixed-seed
 // outputs as constants instead: the simnet samples on the SCIONLab
-// testbed with garble and link-flap faults enabled, and a digest of a
-// small in-memory campaign's stored documents.  A failure here means the
-// sampled behaviour changed, not that a test needs regenerating.
+// testbed with garble and link-flap faults enabled, a digest of a small
+// in-memory campaign's stored documents, and what the path selector reads
+// out of that campaign: every PathSummary field and every built-in
+// strategy's ranking over a fixed list of requests.  A failure here means
+// the sampled or selected behaviour changed, not that a test needs
+// regenerating.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +24,7 @@
 #include "measure/schema.hpp"
 #include "measure/testsuite.hpp"
 #include "scion/scionlab.hpp"
+#include "select/selector.hpp"
 #include "simnet/network.hpp"
 #include "util/sha256.hpp"
 
@@ -91,6 +95,16 @@ class CrossBuildGolden : public ::testing::Test {
       }
     }
     return out;
+  }
+
+  /// The small fixed-seed campaign both document and selection goldens
+  /// read: servers 1, 3 and 5, two iterations, in memory.
+  void run_campaign(docdb::Database& db) {
+    measure::TestSuiteConfig config;
+    config.iterations = 2;
+    config.server_ids = {{1, 3, 5}};
+    measure::TestSuite suite(host_, db, config);
+    ASSERT_TRUE(suite.run().ok());
   }
 
   scion::ScionlabEnv env_;
@@ -228,11 +242,7 @@ TEST_F(CrossBuildGolden, LinkStateBwtestAndTracerouteAreExact) {
 
 TEST_F(CrossBuildGolden, CampaignDocumentsDigest) {
   docdb::Database db;  // in memory
-  measure::TestSuiteConfig config;
-  config.iterations = 2;
-  config.server_ids = {{1, 3, 5}};
-  measure::TestSuite suite(host_, db, config);
-  ASSERT_TRUE(suite.run().ok());
+  run_campaign(db);
 
   const std::string stats = dump_collection(db, measure::kPathsStats);
   const std::string checkpoints =
@@ -243,6 +253,165 @@ TEST_F(CrossBuildGolden, CampaignDocumentsDigest) {
   EXPECT_EQ(checkpoints.size(), 2726u);
   EXPECT_EQ(digest(stats), "319bf3e778fc0099eb7e687c05fc56ea290cb0beae0c813ed69ff1d54c20c2b4");
   EXPECT_EQ(digest(checkpoints), "ca19d0849a0496f603749d940c5e3fd47f50f3f2d362dbb40ae3c1d30b6906eb");
+}
+
+/// Every PathSummary field on one line; doubles as hex floats.
+std::string render(const select::PathSummary& summary) {
+  const auto optional = [](const std::optional<double>& value) {
+    return value.has_value() ? hex(*value) : std::string("none");
+  };
+  std::ostringstream out;
+  out << summary.path_id << " server=" << summary.server_id
+      << " seq=" << summary.sequence << " hops=";
+  for (const scion::IsdAsn& hop : summary.hops) out << hop.to_string() << ',';
+  out << " hop_count=" << summary.hop_count << " isds=";
+  for (const std::int64_t isd : summary.isds) out << isd << ',';
+  out << " mtu=" << hex(summary.mtu) << " samples=" << summary.samples
+      << " latency_samples=" << summary.latency_samples << " latency=";
+  if (summary.latency_ms.has_value()) {
+    const util::BoxStats& box = *summary.latency_ms;
+    out << box.count << ' ' << hex(box.minimum) << ' ' << hex(box.maximum)
+        << ' ' << hex(box.mean) << ' ' << hex(box.q1) << ' ' << hex(box.median)
+        << ' ' << hex(box.q3) << ' ' << hex(box.iqr) << ' '
+        << hex(box.whisker_low) << ' ' << hex(box.whisker_high) << " outliers";
+    for (const double outlier : box.outliers) out << ' ' << hex(outlier);
+  } else {
+    out << "none";
+  }
+  out << " loss=" << hex(summary.mean_loss_pct)
+      << " jitter=" << optional(summary.mean_jitter_ms)
+      << " bw=" << optional(summary.mean_bw_down_mtu) << ' '
+      << optional(summary.mean_bw_up_mtu) << ' '
+      << optional(summary.mean_bw_down_64) << ' '
+      << optional(summary.mean_bw_up_64) << '\n';
+  return out.str();
+}
+
+/// Requests covering every objective, both bandwidth directions, every
+/// constraint kind and the freshness window, spread over the campaign's
+/// three servers.  kSince falls between the campaign's two iterations.
+constexpr std::int64_t kSince = 600000;
+
+std::vector<select::UserRequest> golden_requests() {
+  using select::BwDirection;
+  using select::Objective;
+  std::vector<select::UserRequest> requests;
+  const auto add = [&](int server, Objective objective) -> select::UserRequest& {
+    select::UserRequest& request = requests.emplace_back();
+    request.server_id = server;
+    request.objective = objective;
+    return request;
+  };
+  add(1, Objective::kLowestLatency);
+  add(3, Objective::kHighestBandwidth).bw_direction = BwDirection::kDownstream;
+  add(5, Objective::kHighestBandwidth).bw_direction = BwDirection::kUpstream;
+  add(1, Objective::kHighestBandwidth).bw_probe_bytes = 64.0;
+  add(3, Objective::kLowestLoss);
+  add(5, Objective::kMostConsistent);
+  add(1, Objective::kLowestLatency).max_latency_ms = 23.0;
+  {
+    select::UserRequest& request = add(3, Objective::kHighestBandwidth);
+    request.bw_direction = BwDirection::kUpstream;
+    request.min_bandwidth_mbps = 6.0;
+    request.bw_probe_bytes = 1400.0;
+  }
+  add(5, Objective::kLowestLatency).min_bandwidth_mbps = 11.8;
+  add(1, Objective::kLowestLoss).max_loss_pct = 1.0;
+  add(3, Objective::kMostConsistent).max_jitter_ms = 1.0;
+  add(1, Objective::kLowestLatency).min_samples = 2;
+  add(3, Objective::kLowestLatency).exclude_countries = {"US"};
+  add(1, Objective::kLowestLatency).exclude_operators = {"AWS"};
+  add(3, Objective::kMostConsistent).exclude_ases = {scion::scionlab::kOhio};
+  add(5, Objective::kLowestLoss).exclude_isds = {26};
+  add(5, Objective::kHighestBandwidth).allowed_isds = {16, 17, 20};
+  add(1, Objective::kLowestLatency).since_timestamp_ms = kSince;
+  {
+    select::UserRequest& request = add(1, Objective::kHighestBandwidth);
+    request.bw_direction = BwDirection::kUpstream;
+    request.since_timestamp_ms = kSince;
+  }
+  add(7, Objective::kLowestLatency);  // never measured: empty selection
+  return requests;
+}
+
+TEST_F(CrossBuildGolden, SelectionSummariesAreHexFloatExact) {
+  docdb::Database db;  // in memory
+  run_campaign(db);
+  const select::PathSelector selector(db, env_.topology);
+  util::ThreadPool pool(2);
+
+  std::string transcript;
+  std::size_t summaries = 0;
+  for (const int server : {1, 2, 3, 5}) {
+    for (const std::optional<std::int64_t> since :
+         {std::optional<std::int64_t>{}, std::optional<std::int64_t>{kSince}}) {
+      const auto sequential = selector.summarize(server, since);
+      const auto parallel = selector.summarize_parallel(server, pool, since);
+      ASSERT_TRUE(sequential.ok());
+      ASSERT_TRUE(parallel.ok());
+      std::string block = "server " + std::to_string(server) + " since " +
+                          (since ? std::to_string(*since) : "-") + '\n';
+      std::string parallel_block = block;
+      for (const select::PathSummary& summary : sequential.value()) {
+        block += render(summary);
+      }
+      for (const select::PathSummary& summary : parallel.value()) {
+        parallel_block += render(summary);
+      }
+      EXPECT_EQ(block, parallel_block);
+      summaries += sequential.value().size();
+      transcript += block;
+    }
+  }
+
+  const auto first = selector.summarize(1);
+  ASSERT_TRUE(first.ok());
+  ASSERT_FALSE(first.value().empty());
+  const select::PathSummary& path = first.value().front();
+  EXPECT_EQ(path.path_id, "1_0");
+  ASSERT_TRUE(path.latency_ms.has_value());
+  EXPECT_EQ(hex(path.latency_ms->median), "0x1.0b3abbf25c1d6p+4");
+  EXPECT_EQ(hex(path.mean_loss_pct), "0x0p+0");
+  EXPECT_EQ(summaries, 82u);
+  EXPECT_EQ(digest(transcript), "48a334a72e604375195a84ad61696f6c8a5a9ae907e7ffccbbcf69d8f8b0ea29") << transcript;
+}
+
+TEST_F(CrossBuildGolden, SelectionRankingsAreExact) {
+  docdb::Database db;  // in memory
+  run_campaign(db);
+  const select::PathSelector selector(db, env_.topology);
+
+  std::string transcript;
+  std::size_t ranked = 0;
+  std::size_t rejected = 0;
+  for (const select::UserRequest& request : golden_requests()) {
+    for (const std::string_view strategy :
+         {select::kPaperObjective, select::kLatencyGreedy, select::kLossAverse,
+          select::kGeoConstrained, select::kDisjointnessMax}) {
+      const auto selection = selector.select_with(strategy, request);
+      ASSERT_TRUE(selection.ok()) << strategy << ' ' << request.describe();
+      transcript += std::string(strategy) + " | " + request.describe() + " |";
+      for (const select::RankedPath& path : selection.value().ranked) {
+        transcript += ' ' + path.summary.path_id + '=' + hex(path.score);
+      }
+      transcript += " | rejected";
+      for (const auto& [path_id, reason] : selection.value().rejected) {
+        transcript += ' ' + path_id;
+      }
+      transcript += '\n';
+      ranked += selection.value().ranked.size();
+      rejected += selection.value().rejected.size();
+    }
+  }
+
+  select::UserRequest lowest_latency;
+  lowest_latency.server_id = 1;
+  const auto best = selector.best(lowest_latency);
+  ASSERT_TRUE(best.ok());
+  EXPECT_EQ(best.value().summary.path_id, "1_0");
+  EXPECT_EQ(ranked, 737u);
+  EXPECT_EQ(rejected, 538u);
+  EXPECT_EQ(digest(transcript), "d83e3db7d2f64a9f575e37a1d6b6e1678ce31de9ebabed008da98e939359b97a") << transcript;
 }
 
 }  // namespace

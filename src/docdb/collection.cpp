@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <unordered_set>
 #include <utility>
@@ -551,21 +552,24 @@ std::vector<std::size_t> Collection::plan_candidates_locked(
   return out;
 }
 
-std::vector<Document> Collection::find(const Filter& filter,
-                                       const FindOptions& options) const {
+void Collection::find_each(
+    const Filter& filter, const FindOptions& options,
+    const std::function<bool(const Document&)>& visitor) const {
   const std::shared_lock lock(mutex_);
   const QueryPlan plan = plan_locked(filter, &options);
 
-  std::vector<Document> out;
   std::size_t to_skip = options.skip;
+  std::size_t remaining =
+      options.limit.value_or(std::numeric_limits<std::size_t>::max());
+  // Whether the walk continues after `doc`.
   const auto emit_doc = [&](const Document& doc) {
-    if (options.limit.has_value() && out.size() >= *options.limit) return false;
+    if (remaining == 0) return false;
     if (to_skip > 0) {
       --to_skip;
       return true;
     }
-    out.push_back(doc);
-    return !options.limit.has_value() || out.size() < *options.limit;
+    --remaining;
+    return visitor(doc) && remaining > 0;
   };
 
   if (plan.covers_sort) {
@@ -596,7 +600,7 @@ std::vector<Document> Collection::find(const Filter& filter,
         plan.index->scan(*it, false, visit);
       }
     }
-    return out;
+    return;
   }
 
   const std::vector<std::size_t> candidates = plan_candidates_locked(plan);
@@ -608,7 +612,7 @@ std::vector<Document> Collection::find(const Filter& filter,
       if (!slot.alive || !filter.matches(slot.doc)) continue;
       if (!emit_doc(slot.doc)) break;
     }
-    return out;
+    return;
   }
 
   // Sorted without index cover: order (sort key, position) pairs.  The
@@ -642,11 +646,18 @@ std::vector<Document> Collection::find(const Filter& filter,
   } else {
     std::sort(keyed.begin(), keyed.end(), before);
   }
-  const std::size_t begin = std::min(options.skip, keyed.size());
-  out.reserve(keyed.size() - begin);
-  for (std::size_t i = begin; i < keyed.size(); ++i) {
-    out.push_back(slots_[keyed[i].second].doc);
+  for (const auto& [key, position] : keyed) {
+    if (!emit_doc(slots_[position].doc)) break;
   }
+}
+
+std::vector<Document> Collection::find(const Filter& filter,
+                                       const FindOptions& options) const {
+  std::vector<Document> out;
+  find_each(filter, options, [&out](const Document& doc) {
+    out.push_back(doc);
+    return true;
+  });
   return out;
 }
 

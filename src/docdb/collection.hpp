@@ -101,11 +101,22 @@ class Collection {
   /// Fetch by id.
   [[nodiscard]] util::Result<Document> find_by_id(std::string_view id) const;
 
-  /// All documents matching `filter`, honoring `options`.  The planner
-  /// turns extractable `$eq`/`$in`/range bounds into an ordered-index
-  /// range scan (residual predicate applied per candidate); results come
-  /// back in insertion order — identical to a scan — unless sorted, and
-  /// `sort_by` on a single-field index streams straight off index order.
+  /// Visit, without copying, every document matching `filter`, honoring
+  /// `options`.  The planner turns extractable `$eq`/`$in`/range bounds
+  /// into an ordered-index range scan (residual predicate applied per
+  /// candidate); documents arrive in insertion order — identical to a
+  /// scan — unless sorted, and `sort_by` on a single-field index streams
+  /// straight off index order.  `skip` and `limit` apply before the
+  /// visitor sees a document; a visitor that returns false ends the walk.
+  ///
+  /// The visitor runs under the collection's read lock: it must not call
+  /// back into this collection (a writer queued behind the lock would
+  /// deadlock it), and it must not keep a pointer or reference to the
+  /// document after it returns — copy what it needs.
+  void find_each(const Filter& filter, const FindOptions& options,
+                 const std::function<bool(const Document&)>& visitor) const;
+
+  /// Copies of the documents find_each() visits, in the same order.
   [[nodiscard]] std::vector<Document> find(const Filter& filter,
                                            const FindOptions& options = {}) const;
 

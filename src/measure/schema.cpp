@@ -141,45 +141,66 @@ Result<PathRecord> parse_path_document(const Document& doc) {
   return record;
 }
 
-Result<StatsSample> parse_stats_document(const Document& doc) {
-  StatsSample sample;
+std::optional<StatsView> read_stats_document(const Document& doc) {
   const Value* path_id = doc.get("path_id");
   const Value* server_id = doc.get("server_id");
   const Value* timestamp = doc.get("timestamp_ms");
   const Value* hop_count = doc.get("hop_count");
   const Value* loss = doc.get("loss_pct");
+  const Value* isds = doc.get("isds");
   if (path_id == nullptr || !path_id->is_string() || server_id == nullptr ||
       !server_id->is_int() || timestamp == nullptr || !timestamp->is_int() ||
       hop_count == nullptr || !hop_count->is_int() || loss == nullptr ||
-      !loss->is_number()) {
-    return util::Error{ErrorCode::kParseError, "stats doc missing fields"};
+      !loss->is_number() || isds == nullptr || !isds->is_array()) {
+    return std::nullopt;
   }
-  sample.path_id = path_id->as_string();
-  sample.server_id = static_cast<int>(server_id->as_int());
-  sample.timestamp = util::SimTime(timestamp->as_int() * 1'000'000);
-  sample.hop_count = static_cast<std::size_t>(hop_count->as_int());
-  sample.loss_pct = loss->as_double();
+  for (const Value& isd : isds->as_array()) {
+    if (!isd.is_int()) return std::nullopt;
+  }
 
-  Result<std::vector<std::int64_t>> isds = read_isds(doc);
-  if (!isds.ok()) return Result<StatsSample>(isds.error());
-  sample.isds = std::move(isds).value();
-
-  const auto optional_double =
-      [&](std::string_view path) -> std::optional<double> {
-    const Value* value = doc.get_path(path);
+  StatsView view;
+  view.path_id = path_id->as_string();
+  view.server_id = server_id->as_int();
+  view.timestamp_ms = timestamp->as_int();
+  view.hop_count = hop_count->as_int();
+  view.isds = &isds->as_array();
+  view.loss_pct = loss->as_double();
+  const auto number = [](const Value* value) -> std::optional<double> {
     if (value == nullptr || !value->is_number()) return std::nullopt;
     return value->as_double();
   };
-  sample.latency_ms = optional_double("latency_ms");
-  sample.jitter_ms = optional_double("jitter_ms");
-  sample.bw_up_64 = optional_double("bw.up_64");
-  sample.bw_down_64 = optional_double("bw.down_64");
-  sample.bw_up_mtu = optional_double("bw.up_mtu");
-  sample.bw_down_mtu = optional_double("bw.down_mtu");
-  if (const Value* target = doc.get("target_mbps");
-      target != nullptr && target->is_number()) {
-    sample.target_mbps = target->as_double();
+  view.latency_ms = number(doc.get("latency_ms"));
+  view.jitter_ms = number(doc.get("jitter_ms"));
+  if (const Value* bw = doc.get("bw"); bw != nullptr) {
+    view.bw_up_64 = number(bw->get("up_64"));
+    view.bw_down_64 = number(bw->get("down_64"));
+    view.bw_up_mtu = number(bw->get("up_mtu"));
+    view.bw_down_mtu = number(bw->get("down_mtu"));
   }
+  view.target_mbps = number(doc.get("target_mbps"));
+  return view;
+}
+
+Result<StatsSample> parse_stats_document(const Document& doc) {
+  const std::optional<StatsView> view = read_stats_document(doc);
+  if (!view.has_value()) {
+    return util::Error{ErrorCode::kParseError,
+                       "not a paths_stats document (missing or mistyped field)"};
+  }
+  StatsSample sample;
+  sample.path_id = std::string(view->path_id);
+  sample.server_id = static_cast<int>(view->server_id);
+  sample.timestamp = util::SimTime(view->timestamp_ms * 1'000'000);
+  sample.hop_count = static_cast<std::size_t>(view->hop_count);
+  for (const Value& isd : *view->isds) sample.isds.push_back(isd.as_int());
+  sample.latency_ms = view->latency_ms;
+  sample.loss_pct = view->loss_pct;
+  sample.jitter_ms = view->jitter_ms;
+  sample.bw_up_64 = view->bw_up_64;
+  sample.bw_down_64 = view->bw_down_64;
+  sample.bw_up_mtu = view->bw_up_mtu;
+  sample.bw_down_mtu = view->bw_down_mtu;
+  sample.target_mbps = view->target_mbps.value_or(0.0);
   return sample;
 }
 

@@ -17,6 +17,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "docdb/document.hpp"
 #include "scion/path.hpp"
@@ -89,7 +90,34 @@ struct PathRecord {
 [[nodiscard]] util::Result<PathRecord> parse_path_document(
     const docdb::Document& doc);
 
-/// Decoded paths_stats document.
+/// The fields of one paths_stats document, read in place.  `path_id`
+/// and `isds` point into the document, so a view must not outlive it.
+struct StatsView {
+  std::string_view path_id;
+  std::int64_t server_id = 0;
+  std::int64_t timestamp_ms = 0;
+  std::int64_t hop_count = 0;
+  const util::Value::Array* isds = nullptr;  ///< every entry an integer
+  double loss_pct = 0.0;
+  std::optional<double> latency_ms;
+  std::optional<double> jitter_ms;
+  std::optional<double> bw_up_64;
+  std::optional<double> bw_down_64;
+  std::optional<double> bw_up_mtu;
+  std::optional<double> bw_down_mtu;
+  std::optional<double> target_mbps;
+};
+
+/// Validate a paths_stats document and read its fields without
+/// allocating.  This is the one rule for which documents readers skip:
+/// nullopt when `path_id` is not a string, `server_id`, `timestamp_ms`
+/// or `hop_count` not an integer, `loss_pct` not a number, or `isds` not
+/// an array of integers.  The optional numbers read as absent when
+/// missing or not numbers (so a non-object `bw` yields no bandwidths).
+[[nodiscard]] std::optional<StatsView> read_stats_document(
+    const docdb::Document& doc);
+
+/// Decoded paths_stats document: read_stats_document() copied out.
 [[nodiscard]] util::Result<StatsSample> parse_stats_document(
     const docdb::Document& doc);
 

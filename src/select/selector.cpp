@@ -11,7 +11,7 @@ namespace upin::select {
 using docdb::Document;
 using docdb::Filter;
 using measure::PathRecord;
-using measure::StatsSample;
+using measure::StatsView;
 using util::ErrorCode;
 using util::Result;
 using util::Value;
@@ -57,30 +57,23 @@ Result<PathSummary> PathSelector::summarize_path(
   std::vector<double> losses;
   std::vector<double> jitters;
   std::vector<double> bw_down_mtu, bw_up_mtu, bw_down_64, bw_up_64;
-  for (const Document& doc : stats->find(by_path.value())) {
-    Result<StatsSample> sample = measure::parse_stats_document(doc);
-    if (!sample.ok()) continue;  // tolerate foreign documents
+  const auto push = [](std::vector<double>& to,
+                       const std::optional<double>& value) {
+    if (value.has_value()) to.push_back(*value);
+  };
+  stats->find_each(by_path.value(), {}, [&](const Document& doc) {
+    const std::optional<StatsView> sample = measure::read_stats_document(doc);
+    if (!sample.has_value()) return true;  // tolerate foreign documents
     ++summary.samples;
-    losses.push_back(sample.value().loss_pct);
-    if (sample.value().latency_ms.has_value()) {
-      latencies.push_back(*sample.value().latency_ms);
-    }
-    if (sample.value().jitter_ms.has_value()) {
-      jitters.push_back(*sample.value().jitter_ms);
-    }
-    if (sample.value().bw_down_mtu.has_value()) {
-      bw_down_mtu.push_back(*sample.value().bw_down_mtu);
-    }
-    if (sample.value().bw_up_mtu.has_value()) {
-      bw_up_mtu.push_back(*sample.value().bw_up_mtu);
-    }
-    if (sample.value().bw_down_64.has_value()) {
-      bw_down_64.push_back(*sample.value().bw_down_64);
-    }
-    if (sample.value().bw_up_64.has_value()) {
-      bw_up_64.push_back(*sample.value().bw_up_64);
-    }
-  }
+    losses.push_back(sample->loss_pct);
+    push(latencies, sample->latency_ms);
+    push(jitters, sample->jitter_ms);
+    push(bw_down_mtu, sample->bw_down_mtu);
+    push(bw_up_mtu, sample->bw_up_mtu);
+    push(bw_down_64, sample->bw_down_64);
+    push(bw_up_64, sample->bw_up_64);
+    return true;
+  });
 
   summary.latency_samples = latencies.size();
   if (!latencies.empty()) summary.latency_ms = util::box_stats(latencies);

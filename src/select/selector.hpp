@@ -7,6 +7,11 @@
 // rationale.  Aggregation over many paths is parallelized with the shared
 // thread pool — each path's samples are independent.
 //
+// Summaries read paths_stats in place: each path's samples are visited
+// through `Collection::find_each` and validated by
+// `measure::read_stats_document`, so a request neither copies nor
+// re-parses a stats document: it keeps only the numbers it aggregates.
+//
 // Since the strategy-lab redesign, PathSelector is a thin façade over the
 // StrategyRegistry: `select()` delegates to the `paper-objective`
 // strategy (bit-identical to the pre-registry pipeline) and

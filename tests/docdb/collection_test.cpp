@@ -635,6 +635,158 @@ TEST(QueryPlanner, TopKHeapMatchesFullSortOnNonIndexedField) {
   }
 }
 
+/// Twenty documents d0..d19 with a unique indexed `v` = 7i mod 20 and a
+/// non-indexed `tie` = i mod 4; d5 is deleted, so every plan must also
+/// skip a dead slot.
+class FindEach : public ::testing::Test {
+ protected:
+  FindEach() {
+    coll_.create_index("v");
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_TRUE(coll_.insert_one(Value::object({{"_id", util::format("d%d", i)},
+                                                  {"v", (i * 7) % 20},
+                                                  {"tie", i % 4}}))
+                      .ok());
+    }
+    EXPECT_TRUE(coll_.delete_by_id("d5"));
+  }
+
+  static std::vector<std::string> ids(const std::vector<Document>& docs) {
+    std::vector<std::string> out;
+    for (const Document& d : docs) {
+      out.emplace_back(document_id(d).value_or("?"));
+    }
+    return out;
+  }
+
+  /// Ids the visitor sees, stopping after `stop_after` documents.
+  std::vector<std::string> visited(const Filter& f, const FindOptions& options,
+                                   std::size_t stop_after = SIZE_MAX) const {
+    std::vector<std::string> out;
+    coll_.find_each(f, options, [&](const Document& d) {
+      out.emplace_back(document_id(d).value_or("?"));
+      return out.size() < stop_after;
+    });
+    return out;
+  }
+
+  /// The visitor's sequence equals both find() and `expected`, and the
+  /// planner chose `plan` (covering the sort iff `covers_sort`).
+  void expect_walk(const Filter& f, const FindOptions& options,
+                   const char* plan, bool covers_sort,
+                   const std::vector<std::string>& expected) const {
+    const Value explained = coll_.explain(f, options);
+    EXPECT_EQ(explained.get("plan")->as_string(), plan);
+    EXPECT_EQ(explained.get("covers_sort")->as_bool(), covers_sort);
+    EXPECT_EQ(visited(f, options), expected);
+    EXPECT_EQ(ids(coll_.find(f, options)), expected);
+  }
+
+  /// Live document ids whose (v, tie) satisfy `keep`, in insertion order.
+  template <typename Pred>
+  static std::vector<std::string> live_where(Pred keep) {
+    std::vector<std::string> out;
+    for (int i = 0; i < 20; ++i) {
+      if (i != 5 && keep((i * 7) % 20, i % 4)) out.push_back(util::format("d%d", i));
+    }
+    return out;
+  }
+
+  Collection coll_{"stats"};
+};
+
+TEST_F(FindEach, FullScanVisitsInInsertionOrder) {
+  expect_walk(filter(R"({"tie": 1})"), {}, "scan", false,
+              {"d1", "d9", "d13", "d17"});
+  expect_walk(Filter::match_all(), {}, "scan", false,
+              live_where([](int, int) { return true; }));
+}
+
+TEST_F(FindEach, IndexRangeVisitsInInsertionOrder) {
+  expect_walk(filter(R"({"v": {"$gte": 5, "$lt": 12}})"), {}, "index_range",
+              false, live_where([](int v, int) { return v >= 5 && v < 12; }));
+  expect_walk(filter(R"({"v": 14})"), {}, "index_point", false, {"d2"});
+}
+
+TEST_F(FindEach, CoveredSortAscendingAndDescending) {
+  FindOptions ascending;
+  ascending.sort_by = "v";
+  // v = 7i mod 20 takes 4..9 at i = 12, 15, 18, 1, 4, 7.
+  expect_walk(filter(R"({"v": {"$gte": 4, "$lte": 9}})"), ascending,
+              "index_range", true, {"d12", "d15", "d18", "d1", "d4", "d7"});
+  FindOptions descending = ascending;
+  descending.descending = true;
+  expect_walk(filter(R"({"v": {"$gte": 4, "$lte": 9}})"), descending,
+              "index_range", true, {"d7", "d4", "d1", "d18", "d15", "d12"});
+}
+
+TEST_F(FindEach, SortWithoutIndexIsStableOnTies) {
+  FindOptions by_tie;
+  by_tie.sort_by = "tie";
+  by_tie.descending = true;
+  std::vector<std::string> expected;
+  for (int tie = 3; tie >= 0; --tie) {
+    for (const std::string& id :
+         live_where([tie](int, int t) { return t == tie; })) {
+      expected.push_back(id);
+    }
+  }
+  expect_walk(filter(R"({"v": {"$gte": 0}})"), by_tie, "index_range", false,
+              expected);
+  by_tie.force_scan = true;
+  expect_walk(filter(R"({"v": {"$gte": 0}})"), by_tie, "scan", false, expected);
+}
+
+TEST_F(FindEach, SkipAndLimitApplyBeforeTheVisitor) {
+  FindOptions window;
+  window.skip = 2;
+  window.limit = 3;
+  expect_walk(Filter::match_all(), window, "scan", false,
+              {"d2", "d3", "d4"});  // d5 is dead
+  expect_walk(filter(R"({"v": {"$gte": 5, "$lt": 12}})"), window,
+              "index_range", false, {"d7", "d10", "d13"});
+
+  FindOptions sorted_window = window;
+  sorted_window.sort_by = "v";  // bounded sort streams off the index
+  expect_walk(Filter::match_all(), sorted_window, "index_range", true,
+              {"d6", "d9", "d12"});
+
+  FindOptions tie_window = window;
+  tie_window.sort_by = "tie";  // bounded top-k without an index
+  expect_walk(Filter::match_all(), tie_window, "scan", false,
+              {"d8", "d12", "d16"});
+
+  FindOptions nothing;
+  nothing.limit = 0;
+  expect_walk(Filter::match_all(), nothing, "scan", false, {});
+  FindOptions past_end;
+  past_end.skip = 40;
+  expect_walk(Filter::match_all(), past_end, "scan", false, {});
+}
+
+TEST_F(FindEach, VisitorReturningFalseStopsTheWalk) {
+  FindOptions covered;
+  covered.sort_by = "v";
+  covered.limit = 10;
+  FindOptions unindexed_sort;
+  unindexed_sort.sort_by = "tie";
+  const std::vector<std::pair<Filter, FindOptions>> queries = {
+      {Filter::match_all(), {}},
+      {filter(R"({"v": {"$gte": 2, "$lt": 18}})"), {}},
+      {Filter::match_all(), covered},
+      {Filter::match_all(), unindexed_sort},
+  };
+  for (const auto& [f, options] : queries) {
+    const std::vector<std::string> all = visited(f, options);
+    ASSERT_GE(all.size(), 5u);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3}, all.size()}) {
+      const std::vector<std::string> first_k = visited(f, options, k);
+      EXPECT_EQ(first_k, std::vector<std::string>(
+                             all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k)));
+    }
+  }
+}
+
 TEST(QueryPlanner, MultikeyRangeDoesNotIntersectBounds) {
   Collection coll("stats");
   coll.create_index("isds");

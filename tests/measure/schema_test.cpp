@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 namespace upin::measure {
 namespace {
 
@@ -136,6 +138,99 @@ TEST(Schema, ParseStatsDocumentRejectsMalformed) {
   docdb::Document missing = stats_document(full_sample());
   missing.as_object().erase("path_id");
   EXPECT_FALSE(parse_stats_document(missing).ok());
+}
+
+TEST(Schema, StatsReaderAndParserAcceptTheSameDocuments) {
+  struct Row {
+    const char* name;
+    std::function<void(util::JsonObject&)> edit;
+    bool accepted;
+  };
+  const auto set = [](const char* field, util::Value value) {
+    return [field, value](util::JsonObject& doc) { doc.set(field, value); };
+  };
+  const auto erase = [](const char* field) {
+    return [field](util::JsonObject& doc) { doc.erase(field); };
+  };
+  const std::vector<Row> table = {
+      {"as written", [](util::JsonObject&) {}, true},
+      {"no path_id", erase("path_id"), false},
+      {"integer path_id", set("path_id", util::Value(7)), false},
+      {"no server_id", erase("server_id"), false},
+      {"double server_id", set("server_id", util::Value(3.0)), false},
+      {"string timestamp_ms", set("timestamp_ms", util::Value("soon")), false},
+      {"no hop_count", erase("hop_count"), false},
+      {"no loss_pct", erase("loss_pct"), false},
+      {"string loss_pct", set("loss_pct", util::Value("3%")), false},
+      {"integer loss_pct", set("loss_pct", util::Value(3)), true},
+      {"no isds", erase("isds"), false},
+      {"object isds", set("isds", util::Value::object({{"a", 16}})), false},
+      {"non-int isds entry",
+       set("isds", util::Value(util::Value::Array{util::Value(16),
+                                                  util::Value("17")})),
+       false},
+      {"empty isds", set("isds", util::Value(util::Value::Array{})), true},
+      {"string latency_ms", set("latency_ms", util::Value("fast")), true},
+      {"null jitter_ms", set("jitter_ms", util::Value()), true},
+      {"number bw", set("bw", util::Value(11.0)), true},
+      {"array bw", set("bw", util::Value(util::Value::Array{util::Value(1)})),
+       true},
+      {"string bw field",
+       set("bw", util::Value::object({{"up_64", "x"}, {"down_mtu", 9.5}})),
+       true},
+      {"string target_mbps", set("target_mbps", util::Value("12")), true},
+  };
+
+  for (const Row& row : table) {
+    util::JsonObject fields = stats_document(full_sample()).as_object();
+    row.edit(fields);
+    const docdb::Document doc(std::move(fields));
+    const std::optional<StatsView> view = read_stats_document(doc);
+    const util::Result<StatsSample> parsed = parse_stats_document(doc);
+    EXPECT_EQ(view.has_value(), row.accepted) << row.name;
+    EXPECT_EQ(parsed.ok(), row.accepted) << row.name;
+    if (!view.has_value() || !parsed.ok()) continue;
+
+    // An accepted document reads the same through both.
+    const StatsSample& sample = parsed.value();
+    EXPECT_EQ(view->path_id, sample.path_id) << row.name;
+    EXPECT_EQ(view->server_id, sample.server_id) << row.name;
+    EXPECT_EQ(util::SimTime(view->timestamp_ms * 1'000'000), sample.timestamp)
+        << row.name;
+    EXPECT_EQ(static_cast<std::size_t>(view->hop_count), sample.hop_count)
+        << row.name;
+    ASSERT_NE(view->isds, nullptr) << row.name;
+    ASSERT_EQ(view->isds->size(), sample.isds.size()) << row.name;
+    for (std::size_t i = 0; i < sample.isds.size(); ++i) {
+      EXPECT_EQ((*view->isds)[i].as_int(), sample.isds[i]) << row.name;
+    }
+    EXPECT_EQ(view->loss_pct, sample.loss_pct) << row.name;
+    EXPECT_EQ(view->latency_ms, sample.latency_ms) << row.name;
+    EXPECT_EQ(view->jitter_ms, sample.jitter_ms) << row.name;
+    EXPECT_EQ(view->bw_up_64, sample.bw_up_64) << row.name;
+    EXPECT_EQ(view->bw_down_64, sample.bw_down_64) << row.name;
+    EXPECT_EQ(view->bw_up_mtu, sample.bw_up_mtu) << row.name;
+    EXPECT_EQ(view->bw_down_mtu, sample.bw_down_mtu) << row.name;
+    EXPECT_EQ(view->target_mbps.value_or(0.0), sample.target_mbps) << row.name;
+  }
+
+  for (const util::Value& not_an_object :
+       {util::Value(), util::Value(5), util::Value(util::Value::Array{})}) {
+    EXPECT_FALSE(read_stats_document(not_an_object).has_value());
+    EXPECT_FALSE(parse_stats_document(not_an_object).ok());
+  }
+
+  // Spot-check the partial reads the table only compares.
+  util::JsonObject partial = stats_document(full_sample()).as_object();
+  partial.set("latency_ms", util::Value("fast"));
+  partial.set("bw", util::Value::object({{"up_64", "x"}, {"down_mtu", 9.5}}));
+  const std::optional<StatsView> view =
+      read_stats_document(util::Value(std::move(partial)));
+  ASSERT_TRUE(view.has_value());
+  EXPECT_FALSE(view->latency_ms.has_value());
+  EXPECT_FALSE(view->bw_up_64.has_value());
+  EXPECT_EQ(view->bw_down_mtu, 9.5);
+  EXPECT_EQ(view->loss_pct, 3.3);
 }
 
 TEST(Schema, CollectionNamesMatchPaperFig3) {

@@ -332,6 +332,68 @@ TEST_F(SelectorTest, SelectOnMissingCollectionsFails) {
   EXPECT_FALSE(fresh.select(request).ok());
 }
 
+TEST(SelectorForeignDocuments, SkippedOrReadPartly) {
+  const scion::ScionlabEnv env = scion::scionlab_topology();
+  docdb::Database db;
+  const scion::Path path(
+      {{env.user_as, 0, 1}, {scion::scionlab::kEthzAp, 4, 1}, {kIreland, 1, 0}},
+      1472.0, util::sim_millis(20.0));
+  ASSERT_TRUE(
+      db.collection(measure::kPaths).insert_one(measure::path_document(9, 0, path)).ok());
+
+  int second = 0;
+  const auto sample = [&](double latency, double loss, double jitter,
+                          double bw_down_mtu) {
+    StatsSample out;
+    out.path_id = "9_0";
+    out.server_id = 9;
+    out.timestamp = util::sim_seconds(++second);
+    out.hop_count = 3;
+    out.isds = {16, 17};
+    out.latency_ms = latency;
+    out.loss_pct = loss;
+    out.jitter_ms = jitter;
+    out.bw_down_mtu = bw_down_mtu;
+    out.bw_up_mtu = 5.0;
+    return measure::stats_document(out);
+  };
+  std::vector<docdb::Document> docs;
+  docs.push_back(sample(20.0, 0.0, 1.0, 10.0));
+  docs.push_back(sample(30.0, 10.0, 3.0, 20.0));
+  // Skipped: no loss_pct, and a non-integer isds entry.  Their outlying
+  // values would move every mean if they were read.
+  docs.push_back(sample(1000.0, 90.0, 50.0, 500.0));
+  docs.back().as_object().erase("loss_pct");
+  docs.push_back(sample(1000.0, 90.0, 50.0, 500.0));
+  docs.back().as_object().set(
+      "isds", util::Value(util::Value::Array{util::Value(16), util::Value("17")}));
+  // Read partly: a string latency_ms has no latency; a non-object bw has
+  // no bandwidths.  Both still count as samples with their loss.
+  docs.push_back(sample(0.0, 5.0, 2.0, 30.0));
+  docs.back().as_object().set("latency_ms", util::Value("fast"));
+  docs.push_back(sample(40.0, 15.0, 0.0, 0.0));
+  docs.back().as_object().erase("jitter_ms");
+  docs.back().as_object().set("bw", util::Value(7.0));
+  ASSERT_TRUE(db.collection(measure::kPathsStats).insert_many(std::move(docs)).ok());
+
+  const auto summaries = PathSelector(db, env.topology).summarize(9);
+  ASSERT_TRUE(summaries.ok());
+  ASSERT_EQ(summaries.value().size(), 1u);
+  const PathSummary& summary = summaries.value().front();
+  EXPECT_EQ(summary.samples, 4u);
+  EXPECT_EQ(summary.latency_samples, 3u);
+  ASSERT_TRUE(summary.latency_ms.has_value());
+  EXPECT_EQ(summary.latency_ms->minimum, 20.0);
+  EXPECT_EQ(summary.latency_ms->median, 30.0);
+  EXPECT_EQ(summary.latency_ms->maximum, 40.0);
+  EXPECT_EQ(summary.mean_loss_pct, 7.5);
+  EXPECT_EQ(summary.mean_jitter_ms, 2.0);
+  EXPECT_EQ(summary.mean_bw_down_mtu, 20.0);
+  EXPECT_EQ(summary.mean_bw_up_mtu, 5.0);
+  EXPECT_FALSE(summary.mean_bw_down_64.has_value());
+  EXPECT_FALSE(summary.mean_bw_up_64.has_value());
+}
+
 TEST(SelectorScore, LowestLossTieBreaksByLatency) {
   PathSummary fast, slow;
   fast.mean_loss_pct = slow.mean_loss_pct = 0.0;

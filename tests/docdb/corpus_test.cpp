@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "docdb/journal.hpp"
+#include "support/temp_dir.hpp"
 
 #ifndef UPIN_CORPUS_DIR
 #error "UPIN_CORPUS_DIR must point at the checked-in corpus"
@@ -18,23 +19,12 @@ namespace {
 
 class CorpusTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    work_dir_ = (std::filesystem::temp_directory_path() /
-                 ("corpus_test_" +
-                  std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                    .string();
-    std::filesystem::create_directories(work_dir_);
-  }
-  void TearDown() override {
-    std::error_code ignored;
-    std::filesystem::remove_all(work_dir_, ignored);
-  }
 
   /// Copy a corpus file into the scratch dir (the checked-in corpus is
   /// read-only; salvage writes sidecars next to the journal).
   std::string stage(const std::string& name) {
     const std::string src = std::string(UPIN_CORPUS_DIR) + "/" + name;
-    const std::string dst = work_dir_ + "/" + name;
+    const std::string dst = work_dir_.file(name);
     std::filesystem::copy_file(
         src, dst, std::filesystem::copy_options::overwrite_existing);
     return dst;
@@ -53,7 +43,7 @@ class CorpusTest : public ::testing::Test {
         report, options);
   }
 
-  std::string work_dir_;
+  test_support::TempDir work_dir_{"corpus_test_"};
 };
 
 TEST_F(CorpusTest, TornTailRecoversIntactPrefix) {

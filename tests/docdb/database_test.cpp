@@ -1,6 +1,7 @@
 // Tests for docdb/database: collections, durability, write guard.
 #include "docdb/database.hpp"
 #include "util/strings.hpp"
+#include "support/temp_dir.hpp"
 
 #include <gtest/gtest.h>
 
@@ -52,16 +53,8 @@ TEST(Database, NamesAreSorted) {
 
 class DurableDatabaseTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("db_test_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-              ".jsonl"))
-                .string();
-    std::filesystem::remove(path_);
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_;
+  test_support::TempDir dir_{"db_test_"};
+  const std::string path_ = dir_.file("db.jsonl");
 };
 
 TEST_F(DurableDatabaseTest, InsertSurvivesReopen) {
@@ -328,16 +321,6 @@ TEST_F(DurableDatabaseTest, InsertsWhileCompactingLoseNothing) {
 
 class SalvageDatabaseTest : public DurableDatabaseTest {
  protected:
-  void SetUp() override {
-    DurableDatabaseTest::SetUp();
-    quarantine_ = path_ + ".quarantine";
-    std::filesystem::remove(quarantine_);
-  }
-  void TearDown() override {
-    std::filesystem::remove(quarantine_);
-    DurableDatabaseTest::TearDown();
-  }
-
   /// Build a journal with three documents, then flip one payload byte of
   /// the middle insert (newline kept: mid-file corruption, not a torn
   /// tail).
@@ -365,7 +348,7 @@ class SalvageDatabaseTest : public DurableDatabaseTest {
     out << content;
   }
 
-  std::string quarantine_;
+  const std::string quarantine_ = path_ + ".quarantine";
 };
 
 TEST_F(SalvageDatabaseTest, StrictOpenFailsOnMidfileCorruption) {

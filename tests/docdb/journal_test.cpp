@@ -1,6 +1,7 @@
 // Tests for docdb/journal: append, replay, corruption, rewrite.
 #include "docdb/journal.hpp"
 #include "util/strings.hpp"
+#include "support/temp_dir.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,16 +17,6 @@ using util::Value;
 
 class JournalTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("journal_test_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-              ".jsonl"))
-                .string();
-    std::filesystem::remove(path_);
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-
   JournalRecord insert_record(const std::string& id) {
     JournalRecord record;
     record.op = "insert";
@@ -35,7 +26,8 @@ class JournalTest : public ::testing::Test {
     return record;
   }
 
-  std::string path_;
+  test_support::TempDir dir_{"journal_test_"};
+  const std::string path_ = dir_.file("journal.jsonl");
 };
 
 TEST_F(JournalTest, AppendAndReplayRoundTrip) {
@@ -396,16 +388,6 @@ TEST_F(JournalTest, TornTailAfterLegacyLineIsDetected) {
 
 class SalvageTest : public JournalTest {
  protected:
-  void SetUp() override {
-    JournalTest::SetUp();
-    quarantine_ = path_ + ".quarantine";
-    std::filesystem::remove(quarantine_);
-  }
-  void TearDown() override {
-    std::filesystem::remove(quarantine_);
-    JournalTest::TearDown();
-  }
-
   /// Write three framed records and flip one payload byte of the middle
   /// one (newline kept, so it reads as mid-file corruption).
   void write_bitflipped_journal() {
@@ -430,7 +412,7 @@ class SalvageTest : public JournalTest {
     out << content;
   }
 
-  std::string quarantine_;
+  const std::string quarantine_ = path_ + ".quarantine";
 };
 
 TEST_F(SalvageTest, StrictReplayStillFailsHard) {

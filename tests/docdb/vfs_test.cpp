@@ -2,6 +2,7 @@
 // injects short writes, ENOSPC, fsync failures, crashes and rename
 // rollback exactly as scripted.
 #include "docdb/vfs.hpp"
+#include "support/temp_dir.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,21 +20,8 @@ std::string slurp(const std::string& path) {
 
 class VfsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("vfs_test_" +
-             std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-               .string();
-    std::filesystem::create_directories(dir_);
-    path_ = dir_ + "/file.dat";
-  }
-  void TearDown() override {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-
-  std::string dir_;
-  std::string path_;
+  test_support::TempDir dir_{"vfs_test_"};
+  const std::string path_ = dir_.file("file.dat");
 };
 
 // ----------------------------------------------------------- RealVfs
@@ -65,7 +53,7 @@ TEST_F(VfsTest, RealVfsOpenTruncDiscardsContents) {
 TEST_F(VfsTest, RealVfsRenameTruncateRemove) {
   Vfs& fs = Vfs::real();
   { std::ofstream out(path_); out << "abcdef"; }
-  const std::string moved = dir_ + "/moved.dat";
+  const std::string moved = dir_.file("moved.dat");
   ASSERT_TRUE(fs.rename(path_, moved).ok());
   ASSERT_TRUE(fs.sync_parent_dir(moved).ok());
   EXPECT_FALSE(std::filesystem::exists(path_));
@@ -168,7 +156,7 @@ TEST_F(VfsTest, ScriptedCrashFiresAtExactOp) {
 
 TEST_F(VfsTest, UnsyncedRenameRollsBackAtCrash) {
   FaultVfs fs;
-  const std::string renamed = dir_ + "/renamed.dat";
+  const std::string renamed = dir_.file("renamed.dat");
   {
     auto file = std::move(fs.open_append(path_)).value();
     ASSERT_TRUE(file->append("contents").ok());
@@ -183,7 +171,7 @@ TEST_F(VfsTest, UnsyncedRenameRollsBackAtCrash) {
 
 TEST_F(VfsTest, DirSyncedRenameSurvivesCrash) {
   FaultVfs fs;
-  const std::string renamed = dir_ + "/renamed.dat";
+  const std::string renamed = dir_.file("renamed.dat");
   {
     auto file = std::move(fs.open_append(path_)).value();
     ASSERT_TRUE(file->append("contents").ok());
@@ -198,7 +186,7 @@ TEST_F(VfsTest, DirSyncedRenameSurvivesCrash) {
 
 TEST_F(VfsTest, RenameOverExistingRestoresPriorTargetAtCrash) {
   FaultVfs fs;
-  const std::string target = dir_ + "/target.dat";
+  const std::string target = dir_.file("target.dat");
   for (const auto& [p, text] : {std::pair{path_, std::string("fresh")},
                                 std::pair{target, std::string("stale")}}) {
     auto file = std::move(fs.open_append(p)).value();

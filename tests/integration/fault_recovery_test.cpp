@@ -14,6 +14,7 @@
 #include "fleet/fleet.hpp"
 #include "measure/testsuite.hpp"
 #include "scion/scionlab.hpp"
+#include "support/temp_dir.hpp"
 
 namespace upin::measure {
 namespace {
@@ -22,16 +23,6 @@ using util::Value;
 
 class FaultRecoveryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    journal_path_ =
-        (std::filesystem::temp_directory_path() /
-         ("fault_recovery_" +
-          std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".jsonl"))
-            .string();
-    std::filesystem::remove(journal_path_);
-  }
-  void TearDown() override { std::filesystem::remove(journal_path_); }
-
   static simnet::NetworkConfig reliable() {
     simnet::NetworkConfig config;
     config.server_error_prob = 0.0;
@@ -59,7 +50,8 @@ class FaultRecoveryTest : public ::testing::Test {
   FaultRecoveryTest() : env_(scion::scionlab_topology()) {}
 
   scion::ScionlabEnv env_;
-  std::string journal_path_;
+  test_support::TempDir dir_{"fault_recovery_"};
+  const std::string journal_path_ = dir_.file("journal.jsonl");
 };
 
 TEST_F(FaultRecoveryTest, AggressiveFaultsCampaignTerminatesClassified) {
@@ -237,11 +229,7 @@ TEST_F(FaultRecoveryTest, FleetKillThenResumeReproducesIdenticalDocuments) {
   // directory, and require every tenant's paths_stats document set to
   // match an uninterrupted reference fleet exactly.
   namespace fs = std::filesystem;
-  const std::string base =
-      (fs::temp_directory_path() /
-       ("fleet_resume_" + std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-          .string();
-  fs::remove_all(base);
+  const std::string& base = dir_.path();
 
   fleet::FleetConfig config;
   config.seed = 42;
@@ -333,7 +321,6 @@ TEST_F(FaultRecoveryTest, FleetKillThenResumeReproducesIdenticalDocuments) {
           << "campaign " << id << " document " << doc_id << " diverged";
     }
   }
-  fs::remove_all(base);
 }
 
 TEST_F(FaultRecoveryTest, SyncTicketsPutCommittedBatchesOnDiskAtCrashTime) {

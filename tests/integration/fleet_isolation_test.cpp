@@ -12,22 +12,13 @@
 
 #include "docdb/vfs.hpp"
 #include "fleet/fleet.hpp"
+#include "support/temp_dir.hpp"
 
 namespace upin::fleet {
 namespace {
 
 class FleetIsolationTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    base_ = (std::filesystem::temp_directory_path() /
-             ("fleet_iso_" +
-              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-                .string();
-    std::filesystem::remove_all(base_);
-    std::filesystem::create_directories(base_);
-  }
-  void TearDown() override { std::filesystem::remove_all(base_); }
-
   FleetIsolationTest() : env_(scion::scionlab_topology()) {}
 
   /// Deterministic fleet baseline: reliable network, short retry
@@ -85,12 +76,12 @@ class FleetIsolationTest : public ::testing::Test {
   }
 
   std::string shard_in(const std::string& dir, int campaign_id) const {
-    return (std::filesystem::path(base_) / dir / shard_filename(campaign_id))
+    return (std::filesystem::path(dir_.path()) / dir / shard_filename(campaign_id))
         .string();
   }
 
   scion::ScionlabEnv env_;
-  std::string base_;
+  test_support::TempDir dir_{"fleet_iso_"};
 };
 
 TEST_F(FleetIsolationTest, BlastRadiusZeroUnderSingleTenantChaos) {
@@ -113,7 +104,7 @@ TEST_F(FleetIsolationTest, BlastRadiusZeroUnderSingleTenantChaos) {
 
   // Reference: the clean tenants alone in the process, bit for bit the
   // execution the fleet must reproduce for them.
-  std::filesystem::create_directories(base_ + "/solo");
+  std::filesystem::create_directories(dir_.file("solo"));
   std::vector<CampaignStatus> solo_status;
   for (const CampaignSpec& spec : {clean_1, clean_2}) {
     const auto solo =
@@ -127,7 +118,7 @@ TEST_F(FleetIsolationTest, BlastRadiusZeroUnderSingleTenantChaos) {
   ASSERT_FALSE(solo_bytes_1.empty());
 
   FleetConfig fleet_config = config;
-  fleet_config.data_dir = base_ + "/fleet";
+  fleet_config.data_dir = dir_.file("fleet");
   const auto fleet =
       FleetScheduler(env_, fleet_config).run({chaotic, clean_1, clean_2});
   ASSERT_TRUE(fleet.ok()) << "single-tenant chaos must not fail the fleet";
@@ -173,7 +164,7 @@ TEST_F(FleetIsolationTest, FleetShardBytesAreDeterministicAcrossRuns) {
 
   for (const char* dir : {"a", "b"}) {
     FleetConfig config = base_config();
-    config.data_dir = (std::filesystem::path(base_) / dir).string();
+    config.data_dir = dir_.file(dir);
     const auto result = FleetScheduler(env_, config).run(specs);
     ASSERT_TRUE(result.ok());
   }

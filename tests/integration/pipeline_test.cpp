@@ -11,6 +11,7 @@
 #include "measure/testsuite.hpp"
 #include "scion/scionlab.hpp"
 #include "select/selector.hpp"
+#include "support/temp_dir.hpp"
 
 namespace upin {
 namespace {
@@ -44,10 +45,8 @@ TEST(Integration, FullCampaignThenSelection) {
 }
 
 TEST(Integration, DurableCampaignSurvivesReopen) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "upin_integration.jsonl")
-          .string();
-  std::filesystem::remove(path);
+  const test_support::TempDir dir("upin_integration_");
+  const std::string path = dir.file("journal.jsonl");
 
   const scion::ScionlabEnv env = scion::scionlab_topology();
   std::string best_before;
@@ -77,7 +76,6 @@ TEST(Integration, DurableCampaignSurvivesReopen) {
     EXPECT_EQ(best.value().summary.path_id, best_before);
     EXPECT_EQ(best.value().summary.samples, 2u);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Integration, SignedCampaignEndToEnd) {

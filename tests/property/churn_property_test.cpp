@@ -22,6 +22,7 @@
 #include "scion/scionlab.hpp"
 #include "select/selector.hpp"
 #include "upin/controller.hpp"
+#include "support/temp_dir.hpp"
 
 namespace upin {
 namespace {
@@ -178,9 +179,8 @@ TEST(ControlPlaneChurn, KillThenResumeIsBitIdenticalUnderStorm) {
     ASSERT_FALSE(reference.empty());
   }
 
-  const std::string journal =
-      (std::filesystem::temp_directory_path() / "churn_resume.jsonl").string();
-  std::filesystem::remove(journal);
+  const test_support::TempDir dir("churn_resume_");
+  const std::string journal = dir.file("journal.jsonl");
 
   // Crashed run: killed after the third committed batch.
   {
@@ -217,7 +217,6 @@ TEST(ControlPlaneChurn, KillThenResumeIsBitIdenticalUnderStorm) {
     EXPECT_EQ(host.control_plane().checkpoint().dump(), reference_cache)
         << "the resumed cache trajectory diverged from the uninterrupted run";
   }
-  std::filesystem::remove(journal);
 }
 
 TEST(ControlPlaneChurn, KillAtEveryUnitBoundaryResumesBitIdentical) {

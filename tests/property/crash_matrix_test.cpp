@@ -20,6 +20,8 @@
 
 #include "docdb/database.hpp"
 #include "docdb/vfs.hpp"
+#include "support/temp_dir.hpp"
+#include "util/strings.hpp"
 
 namespace upin::docdb {
 namespace {
@@ -144,19 +146,7 @@ ModelState capture(Database& db) {
 
 class CrashMatrixTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("crash_matrix_" +
-             std::to_string(reinterpret_cast<std::uintptr_t>(this))))
-               .string();
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-
-  std::string dir_;
+  test_support::TempDir dir_{"crash_matrix_"};
 };
 
 TEST_F(CrashMatrixTest, EveryCrashPointRecoversAPrefixConsistentState) {
@@ -169,7 +159,7 @@ TEST_F(CrashMatrixTest, EveryCrashPointRecoversAPrefixConsistentState) {
     FaultVfs probe_vfs;
     DatabaseOptions options;
     options.vfs = &probe_vfs;
-    const std::string path = dir_ + "/probe.jsonl";
+    const std::string path = dir_.file("probe.jsonl");
     WorkloadTrace trace;
     {
       auto opened = Database::open(path, options);
@@ -187,7 +177,7 @@ TEST_F(CrashMatrixTest, EveryCrashPointRecoversAPrefixConsistentState) {
   for (std::size_t crash_at = 1; crash_at <= probe_ops + 4; ++crash_at) {
     SCOPED_TRACE("crash_at_op=" + std::to_string(crash_at));
     const std::string path =
-        dir_ + "/crash_" + std::to_string(crash_at) + ".jsonl";
+        dir_.file(util::format("crash_%zu.jsonl", crash_at));
 
     FaultVfs vfs(FaultVfsConfig{.crash_at_op = crash_at});
     DatabaseOptions options;
@@ -229,7 +219,7 @@ TEST_F(CrashMatrixTest, CleanRunThroughFaultVfsMatchesFullModel) {
   FaultVfs vfs;
   DatabaseOptions options;
   options.vfs = &vfs;
-  const std::string path = dir_ + "/clean.jsonl";
+  const std::string path = dir_.file("clean.jsonl");
   WorkloadTrace trace;
   {
     auto opened = Database::open(path, options);

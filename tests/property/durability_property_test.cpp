@@ -12,6 +12,7 @@
 #include "select/selector.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "support/temp_dir.hpp"
 
 namespace upin {
 namespace {
@@ -65,11 +66,8 @@ void random_operation(Rng& rng, Collection& coll, int& id_counter) {
 }
 
 TEST_P(JournalEquivalenceProperty, ReplayedStateMatchesInMemory) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("journal_prop_" + std::to_string(GetParam()) + ".jsonl"))
-          .string();
-  std::filesystem::remove(path);
+  const test_support::TempDir dir("journal_prop_");
+  const std::string path = dir.file("journal.jsonl");
 
   Database memory;
   std::vector<Document> expected;
@@ -99,7 +97,6 @@ TEST_P(JournalEquivalenceProperty, ReplayedStateMatchesInMemory) {
     ASSERT_TRUE(twin.ok()) << "missing " << *id;
     EXPECT_EQ(twin.value(), doc);
   });
-  std::filesystem::remove(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JournalEquivalenceProperty,

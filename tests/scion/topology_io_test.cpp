@@ -7,6 +7,7 @@
 
 #include "scion/beacon.hpp"
 #include "scion/scionlab.hpp"
+#include "support/temp_dir.hpp"
 
 namespace upin::scion {
 namespace {
@@ -71,14 +72,13 @@ TEST(TopologyIo, ReloadedTopologyProducesSamePaths) {
 }
 
 TEST(TopologyIo, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "upin_topo.json").string();
+  const test_support::TempDir dir("upin_topo_");
+  const std::string path = dir.file("topology.json");
   const ScionlabEnv env = scionlab_topology();
   ASSERT_TRUE(save_topology(env.topology, path).ok());
   const auto loaded = load_topology(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().ases().size(), env.topology.ases().size());
-  std::filesystem::remove(path);
 }
 
 TEST(TopologyIo, LoadMissingFileFails) {

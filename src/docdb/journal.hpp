@@ -13,8 +13,8 @@
 //    ticket; a dedicated writer thread drains the queue in groups and
 //    commits each group with ONE write + ONE fsync.  This takes framing,
 //    CRC and file I/O off the mutating threads (and off the collection
-//    lock), which is what lets parallel surveys batch their storage the
-//    way the paper batches MongoDB insertions (§4.2.2).
+//    lock), which is what lets a campaign batch its storage the way the
+//    paper batches MongoDB insertions (§4.2.2).
 //
 // Integrity: every appended record carries a CRC-32 prefix
 // ("crc32=XXXXXXXX <json>"), verified on replay, so torn or bit-flipped

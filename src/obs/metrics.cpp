@@ -61,14 +61,6 @@ double LatencyHistogram::quantile(double q) const noexcept {
   return bin_high(counts_.size() - 1);
 }
 
-void LatencyHistogram::reset() noexcept {
-  for (std::atomic<std::uint64_t>& bucket : counts_) {
-    bucket.store(0, std::memory_order_relaxed);
-  }
-  total_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 Registry& Registry::global() {
   static Registry instance;
   return instance;
@@ -270,22 +262,6 @@ Value Registry::snapshot() const {
   root.set("gauges", Value(std::move(gauges)));
   root.set("histograms", Value(std::move(histograms)));
   return Value(std::move(root));
-}
-
-void Registry::reset_values() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, counter] : counters_) counter->reset();
-  for (const auto& [name, gauge] : gauges_) gauge->reset();
-  for (const auto& [name, histogram] : histograms_) histogram->reset();
-  for (const auto& [name, series] : labeled_counters_) {
-    for (const auto& [campaign, counter] : series) counter->reset();
-  }
-  for (const auto& [name, series] : labeled_gauges_) {
-    for (const auto& [campaign, gauge] : series) gauge->reset();
-  }
-  for (const auto& [name, series] : labeled_histograms_) {
-    for (const auto& [campaign, histogram] : series) histogram->reset();
-  }
 }
 
 std::string pipeline_summary(const Registry& registry) {

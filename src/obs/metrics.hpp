@@ -5,8 +5,8 @@
 // post-hoc archaeology over MongoDB documents.  This layer gives the
 // reproduction first-class run telemetry: named counters, gauges and
 // fixed-bucket latency histograms, updated with cheap sharded atomics so
-// the journal writer thread and the parallel-survey workers can
-// instrument their hot paths without a shared lock.
+// the journal writer thread and the fleet workers can instrument their
+// hot paths without a shared lock.
 //
 // Two export formats make every run self-describing:
 //   * to_prometheus() — the text exposition format, scraped by the CI
@@ -15,10 +15,10 @@
 //     docdb collection at checkpoint/end the way the paper stores its
 //     per-(path, timestamp) documents.
 //
-// Metric *values* are monotone over process lifetime (Prometheus
-// semantics); reset_values() exists for tests and benches that measure
-// deltas.  Registered metric objects are never deleted, so references
-// returned by the registry stay valid for the process lifetime.
+// Metric *values* are monotone over the registry's lifetime (Prometheus
+// semantics): a run that needs its own values uses its own Registry, as
+// each fleet tenant does.  Registered metric objects are never deleted,
+// so references returned by a registry stay valid for its lifetime.
 #pragma once
 
 #include <array>
@@ -53,12 +53,6 @@ class Counter {
     return total;
   }
 
-  void reset() noexcept {
-    for (Shard& shard : shards_) {
-      shard.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
  private:
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> value{0};
@@ -80,7 +74,6 @@ class Gauge {
   [[nodiscard]] std::int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { set(0); }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -113,8 +106,6 @@ class LatencyHistogram {
   /// Approximate quantile: the upper edge of the bucket containing the
   /// q-th observation (the usual Prometheus-histogram estimate).
   [[nodiscard]] double quantile(double q) const noexcept;
-
-  void reset() noexcept;
 
  private:
   double lo_;
@@ -171,10 +162,6 @@ class Registry {
   /// JSON snapshot: {"counters": {...}, "gauges": {...},
   /// "histograms": {name: {lo, width, total, sum, buckets: [...]}}}.
   [[nodiscard]] util::Value snapshot() const;
-
-  /// Zero every registered value, keeping registrations.  For tests and
-  /// benches measuring per-run deltas; production metrics stay monotone.
-  void reset_values();
 
  private:
   template <typename T>

@@ -1,7 +1,7 @@
 // span.hpp — virtual-clock scoped spans.
 //
-// A campaign is a hierarchy of timed phases — campaign → destination →
-// path → probe — and diagnosing episodes like the paper's §6.3 100%-loss
+// A campaign is a hierarchy of timed phases — campaign → unit → path →
+// probe — and diagnosing episodes like the paper's §6.3 100%-loss
 // window means knowing *when in the campaign timeline* each probe ran.
 // SpanTracer records that hierarchy keyed to util::SimTime, the shared
 // virtual clock every measurement consumes.  Because the clock is a pure
@@ -10,11 +10,11 @@
 // across machines and across code changes, which turns the timeline into
 // a regression artifact rather than a debugging one-off.
 //
-// Concurrency model: one tracer per thread of execution.  Parallel
-// survey workers each build their own tree (each on its own replica
-// timeline starting at virtual zero) and the coordinator adopt()s them
-// into the campaign root in destination order — deterministic no matter
-// how the OS scheduled the workers.
+// Concurrency model: one tracer per thread of execution.  Fleet tenants
+// each build their own tree (each on its own virtual timeline starting
+// at zero) and the scheduler adopt()s them into the fleet root in
+// campaign order — deterministic no matter how the OS scheduled the
+// workers.
 #pragma once
 
 #include <memory>

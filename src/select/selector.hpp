@@ -4,8 +4,7 @@
 // summaries (box statistics over latency, mean loss, mean bandwidths),
 // drop paths violating the user's constraints (performance + sovereignty),
 // rank the survivors under the chosen objective, and return them with a
-// rationale.  Aggregation over many paths is parallelized with the shared
-// thread pool — each path's samples are independent.
+// rationale.
 //
 // Summaries read paths_stats in place: each path's samples are visited
 // through `Collection::find_each` and validated by
@@ -32,7 +31,6 @@
 #include "select/types.hpp"
 #include "util/clock.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace upin::select {
 
@@ -56,11 +54,6 @@ class PathSelector {
   /// contribute (freshness window).
   [[nodiscard]] util::Result<std::vector<PathSummary>> summarize(
       int server_id, std::optional<std::int64_t> since_ms = std::nullopt) const;
-
-  /// As `summarize`, but aggregating paths in parallel on `pool`.
-  [[nodiscard]] util::Result<std::vector<PathSummary>> summarize_parallel(
-      int server_id, util::ThreadPool& pool,
-      std::optional<std::int64_t> since_ms = std::nullopt) const;
 
   /// Full selection under a request — the `paper-objective` strategy.
   [[nodiscard]] util::Result<Selection> select(const UserRequest& request) const;

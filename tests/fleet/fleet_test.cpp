@@ -8,8 +8,11 @@
 
 #include <set>
 
+#include "apps/host.hpp"
+#include "measure/schema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "support/temp_dir.hpp"
 
 namespace upin::fleet {
 namespace {
@@ -101,6 +104,51 @@ TEST_F(FleetTest, RunsIndependentTenantsToCompletion) {
     EXPECT_EQ(status.progress.checkpoints_recorded, 2u);
     EXPECT_GE(status.credits_granted, status.units_run);
     EXPECT_TRUE(status.failure.ok());
+  }
+}
+
+TEST_F(FleetTest, TenantShardMatchesAPlainCampaign) {
+  // One tenant per destination is how the fleet scales a survey out
+  // (paper §4.1.1).  With the ladder off, a tenant's stored samples are
+  // exactly what a plain TestSuite run stores on a host seeded with the
+  // tenant's split seed.
+  const test_support::TempDir dir("fleet_plain_");
+  FleetConfig config = base_config();
+  config.suite.iterations = 3;
+  config.threads = 3;
+  config.data_dir = dir.path();
+  const std::vector<int> servers = {1, 3, 5};
+  std::vector<CampaignSpec> specs;
+  for (const int server : servers) specs.push_back(spec_for(server, server));
+  const auto fleet = FleetScheduler(env_, config).run(specs);
+  ASSERT_TRUE(fleet.ok()) << fleet.error().message;
+
+  docdb::FindOptions by_id;
+  by_id.sort_by = "_id";
+  for (const int server : servers) {
+    docdb::Database plain_db;
+    apps::ScionHost host(env_, campaign_seed(config.seed, server),
+                         env_.user_as, "10.0.8.1", config.net_config);
+    measure::TestSuiteConfig suite_config = config.suite;
+    suite_config.server_ids = {{server}};
+    measure::TestSuite suite(host, plain_db, suite_config);
+    ASSERT_TRUE(suite.run().ok());
+
+    const auto shard = docdb::Database::open(
+        dir.file(shard_filename(server)));
+    ASSERT_TRUE(shard.ok()) << shard.error().message;
+    const docdb::Collection* in_fleet =
+        shard.value()->find_collection(measure::kPathsStats);
+    ASSERT_NE(in_fleet, nullptr);
+    const std::vector<docdb::Document> expected =
+        plain_db.collection(measure::kPathsStats).find(docdb::Filter::match_all(), by_id);
+    const std::vector<docdb::Document> actual =
+        in_fleet->find(docdb::Filter::match_all(), by_id);
+    EXPECT_FALSE(expected.empty()) << "server " << server;
+    ASSERT_EQ(expected.size(), actual.size()) << "server " << server;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(expected[i], actual[i]) << "server " << server << " doc " << i;
+    }
   }
 }
 

@@ -338,28 +338,20 @@ TEST_F(CrossBuildGolden, SelectionSummariesAreHexFloatExact) {
   docdb::Database db;  // in memory
   run_campaign(db);
   const select::PathSelector selector(db, env_.topology);
-  util::ThreadPool pool(2);
 
   std::string transcript;
   std::size_t summaries = 0;
   for (const int server : {1, 2, 3, 5}) {
     for (const std::optional<std::int64_t> since :
          {std::optional<std::int64_t>{}, std::optional<std::int64_t>{kSince}}) {
-      const auto sequential = selector.summarize(server, since);
-      const auto parallel = selector.summarize_parallel(server, pool, since);
-      ASSERT_TRUE(sequential.ok());
-      ASSERT_TRUE(parallel.ok());
+      const auto summarized = selector.summarize(server, since);
+      ASSERT_TRUE(summarized.ok());
       std::string block = "server " + std::to_string(server) + " since " +
                           (since ? std::to_string(*since) : "-") + '\n';
-      std::string parallel_block = block;
-      for (const select::PathSummary& summary : sequential.value()) {
+      for (const select::PathSummary& summary : summarized.value()) {
         block += render(summary);
       }
-      for (const select::PathSummary& summary : parallel.value()) {
-        parallel_block += render(summary);
-      }
-      EXPECT_EQ(block, parallel_block);
-      summaries += sequential.value().size();
+      summaries += summarized.value().size();
       transcript += block;
     }
   }

@@ -19,13 +19,6 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(Counter, ResetZeroes) {
-  Counter c;
-  c.add(7);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Counter, ConcurrentAddsAreLossless) {
   Counter c;
   constexpr int kThreads = 8;
@@ -41,14 +34,12 @@ TEST(Counter, ConcurrentAddsAreLossless) {
   EXPECT_EQ(c.value(), kThreads * kPerThread);
 }
 
-TEST(Gauge, SetAddReset) {
+TEST(Gauge, SetAndAdd) {
   Gauge g;
   EXPECT_EQ(g.value(), 0);
   g.set(10);
   g.add(-3);
   EXPECT_EQ(g.value(), 7);
-  g.reset();
-  EXPECT_EQ(g.value(), 0);
 }
 
 TEST(LatencyHistogram, PlacesSamplesInBuckets) {
@@ -163,20 +154,6 @@ TEST(Registry, SnapshotShape) {
   EXPECT_EQ(h->get("buckets")->as_array()[0].as_int(), 1);
 }
 
-TEST(Registry, ResetValuesKeepsRegistrations) {
-  Registry registry;
-  Counter& c = registry.counter("upin_r_total");
-  c.add(10);
-  registry.gauge("upin_rg").set(3);
-  registry.histogram("upin_rh_us", 0.0, 1.0, 2).observe(0.5);
-  registry.reset_values();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(registry.gauge("upin_rg").value(), 0);
-  EXPECT_EQ(registry.histogram("upin_rh_us", 0.0, 1.0, 2).total(), 0u);
-  // Same instance survives the reset.
-  EXPECT_EQ(&registry.counter("upin_r_total"), &c);
-}
-
 TEST(PipelineSummary, ReportsJournalCounters) {
   Registry registry;
   registry.counter("upin_journal_events_enqueued_total").add(40);
@@ -239,7 +216,7 @@ TEST(LabeledMetrics, PrometheusExpositionCarriesTheCampaignLabel) {
   EXPECT_EQ(type_lines, 1u);
 }
 
-TEST(LabeledMetrics, SnapshotAndResetCoverLabeledSeries) {
+TEST(LabeledMetrics, SnapshotCoversLabeledSeries) {
   Registry registry;
   registry.counter("upin_fleet_errors_total", "2").add(4);
   registry.gauge("upin_fleet_lane_depth", "2").set(3);
@@ -252,10 +229,6 @@ TEST(LabeledMetrics, SnapshotAndResetCoverLabeledSeries) {
       snap.get_path("gauges.upin_fleet_lane_depth{campaign=\"2\"}");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->try_int().value_or(-1), 3);
-
-  registry.reset_values();
-  EXPECT_EQ(registry.counter("upin_fleet_errors_total", "2").value(), 0u);
-  EXPECT_EQ(registry.gauge("upin_fleet_lane_depth", "2").value(), 0);
 }
 
 TEST(PipelineSummary, EmptyRegistryIsAllZeros) {

@@ -66,20 +66,6 @@ TEST_F(SelectorTest, SummarizeUnknownServerIsEmpty) {
   EXPECT_TRUE(summaries.value().empty());
 }
 
-TEST_F(SelectorTest, ParallelSummarizeMatchesSequential) {
-  util::ThreadPool pool(4);
-  const auto sequential = selector().summarize(3);
-  const auto parallel = selector().summarize_parallel(3, pool);
-  ASSERT_TRUE(sequential.ok());
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_EQ(sequential.value().size(), parallel.value().size());
-  for (std::size_t i = 0; i < sequential.value().size(); ++i) {
-    EXPECT_EQ(sequential.value()[i].path_id, parallel.value()[i].path_id);
-    EXPECT_DOUBLE_EQ(sequential.value()[i].latency_ms->median,
-                     parallel.value()[i].latency_ms->median);
-  }
-}
-
 TEST_F(SelectorTest, LowestLatencySelectsEuropeanPath) {
   UserRequest request;
   request.server_id = 3;

@@ -52,6 +52,14 @@ bool contains_object(const Value& value) {
   return false;
 }
 
+/// Source of Collection::rewrite_epoch() values: one counter for every
+/// collection in the process, so no two collections share a value.
+std::atomic<std::uint64_t> g_rewrite_epochs{1};
+
+std::uint64_t fresh_rewrite_epoch() noexcept {
+  return g_rewrite_epochs.fetch_add(1, std::memory_order_relaxed);
+}
+
 /// Whether an $eq/$in operand can be answered through index keys.
 /// Equality through the index needs `compare_values() == 0` to coincide
 /// with the filter's deep equality, which object operands break (their
@@ -286,7 +294,8 @@ CandidatePlan build_index_plan(
 
 }  // namespace
 
-Collection::Collection(std::string name) : name_(std::move(name)) {}
+Collection::Collection(std::string name)
+    : name_(std::move(name)), rewrite_epoch_(fresh_rewrite_epoch()) {}
 
 Collection::~Collection() {
   // Keep the process-wide gauge honest when a database (reopen, test,
@@ -329,6 +338,10 @@ std::shared_lock<std::shared_mutex> Collection::gate_lock() const {
 
 void Collection::set_write_gate(std::shared_mutex* gate) {
   write_gate_ = gate;
+}
+
+void Collection::bump_rewrite_epoch_locked() noexcept {
+  rewrite_epoch_.store(fresh_rewrite_epoch(), std::memory_order_release);
 }
 
 void Collection::index_add_locked(OrderedIndex& index, const Document& doc,
@@ -753,6 +766,7 @@ Result<std::size_t> Collection::update_many(const Filter& filter,
       for (const auto& index : indexes_) {
         index_add_locked(*index, slot.doc, position);
       }
+      if (modified == 0) bump_rewrite_epoch_locked();
       ++modified;
 
       const std::string id(document_id(slot.doc).value_or(""));
@@ -787,6 +801,7 @@ std::size_t Collection::delete_many(const Filter& filter) {
       id_to_slot_.erase(id);
       slot.alive = false;
       slot.doc = Document();
+      if (removed == 0) bump_rewrite_epoch_locked();
       ++removed;
       std::string payload;
       if (journaled()) payload = Journal::encode_delete(name_, id);
@@ -816,6 +831,7 @@ bool Collection::delete_by_id(std::string_view id) {
     slot.alive = false;
     slot.doc = Document();
     id_to_slot_.erase(it);
+    bump_rewrite_epoch_locked();
     std::string payload;
     if (journaled()) payload = Journal::encode_delete(name_, std::string(id));
     MutationEvent event{MutationEvent::Kind::kDelete, name_, std::string(id),

@@ -87,6 +87,17 @@ class Collection {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] bool empty() const { return size() == 0; }
 
+  /// A process-unique number that changes whenever a document is deleted
+  /// or updated, and differs between any two Collection objects (so a
+  /// dropped and re-created collection never repeats one).  Inserts leave
+  /// it alone.  Between two equal readings the collection only grew, so
+  /// (rewrite_epoch(), count(f)) read in that order, with the epoch
+  /// re-read unchanged after the count, pins the documents matching `f`
+  /// exactly: the stamp readers cache derived data behind.
+  [[nodiscard]] std::uint64_t rewrite_epoch() const noexcept {
+    return rewrite_epoch_.load(std::memory_order_acquire);
+  }
+
   /// Insert one document.  A missing `_id` is assigned ("doc_<n>");
   /// a duplicate `_id` is a kConflict.  Returns the document's id.
   /// On a journaled collection a failed durability sync is reported as
@@ -214,6 +225,9 @@ class Collection {
   /// Acquire *before* mutex_ — same order as Database::compact().
   [[nodiscard]] std::shared_lock<std::shared_mutex> gate_lock() const;
 
+  /// Move rewrite_epoch() to a fresh value (mutex_ held exclusively).
+  void bump_rewrite_epoch_locked() noexcept;
+
   [[nodiscard]] bool journaled() const {
     return has_observer_.load(std::memory_order_acquire);
   }
@@ -224,6 +238,7 @@ class Collection {
   std::unordered_map<std::string, std::size_t> id_to_slot_;
   std::vector<std::unique_ptr<OrderedIndex>> indexes_;
   std::atomic<std::uint64_t> next_auto_id_{1};
+  std::atomic<std::uint64_t> rewrite_epoch_;
   std::atomic<bool> has_observer_{false};
   std::function<void(MutationEvent&)> observer_;
   std::shared_mutex* write_gate_ = nullptr;  ///< owned by the Database

@@ -141,43 +141,89 @@ Result<PathRecord> parse_path_document(const Document& doc) {
   return record;
 }
 
+namespace {
+
+/// The fields read_stats_document() looks at, found in one walk over the
+/// document.  Keys are unique within an object (JsonObject::set
+/// overwrites), and the walk keeps the first match anyway, as a keyed
+/// lookup would.
+struct StatsFields {
+  const Value* path_id = nullptr;
+  const Value* server_id = nullptr;
+  const Value* timestamp_ms = nullptr;
+  const Value* hop_count = nullptr;
+  const Value* loss_pct = nullptr;
+  const Value* isds = nullptr;
+  const Value* latency_ms = nullptr;
+  const Value* jitter_ms = nullptr;
+  const Value* bw = nullptr;
+  const Value* target_mbps = nullptr;
+
+  explicit StatsFields(const util::JsonObject& object) {
+    for (const auto& [key, value] : object) {
+      const Value** slot = slot_for(key);
+      if (slot != nullptr && *slot == nullptr) *slot = &value;
+    }
+  }
+
+ private:
+  /// Dispatch on the key's length first: at most three keys share one.
+  const Value** slot_for(std::string_view key) {
+    switch (key.size()) {
+      case 2: return key == "bw" ? &bw : nullptr;
+      case 4: return key == "isds" ? &isds : nullptr;
+      case 7: return key == "path_id" ? &path_id : nullptr;
+      case 8: return key == "loss_pct" ? &loss_pct : nullptr;
+      case 9:
+        if (key == "server_id") return &server_id;
+        if (key == "hop_count") return &hop_count;
+        return key == "jitter_ms" ? &jitter_ms : nullptr;
+      case 10: return key == "latency_ms" ? &latency_ms : nullptr;
+      case 11: return key == "target_mbps" ? &target_mbps : nullptr;
+      case 12: return key == "timestamp_ms" ? &timestamp_ms : nullptr;
+      default: return nullptr;
+    }
+  }
+};
+
+std::optional<double> number(const Value* value) {
+  if (value == nullptr || !value->is_number()) return std::nullopt;
+  return value->as_double();
+}
+
+}  // namespace
+
 std::optional<StatsView> read_stats_document(const Document& doc) {
-  const Value* path_id = doc.get("path_id");
-  const Value* server_id = doc.get("server_id");
-  const Value* timestamp = doc.get("timestamp_ms");
-  const Value* hop_count = doc.get("hop_count");
-  const Value* loss = doc.get("loss_pct");
-  const Value* isds = doc.get("isds");
-  if (path_id == nullptr || !path_id->is_string() || server_id == nullptr ||
-      !server_id->is_int() || timestamp == nullptr || !timestamp->is_int() ||
-      hop_count == nullptr || !hop_count->is_int() || loss == nullptr ||
-      !loss->is_number() || isds == nullptr || !isds->is_array()) {
+  if (!doc.is_object()) return std::nullopt;
+  const StatsFields fields(doc.as_object());
+  if (fields.path_id == nullptr || !fields.path_id->is_string() ||
+      fields.server_id == nullptr || !fields.server_id->is_int() ||
+      fields.timestamp_ms == nullptr || !fields.timestamp_ms->is_int() ||
+      fields.hop_count == nullptr || !fields.hop_count->is_int() ||
+      fields.loss_pct == nullptr || !fields.loss_pct->is_number() ||
+      fields.isds == nullptr || !fields.isds->is_array()) {
     return std::nullopt;
   }
-  for (const Value& isd : isds->as_array()) {
+  for (const Value& isd : fields.isds->as_array()) {
     if (!isd.is_int()) return std::nullopt;
   }
 
   StatsView view;
-  view.path_id = path_id->as_string();
-  view.server_id = server_id->as_int();
-  view.timestamp_ms = timestamp->as_int();
-  view.hop_count = hop_count->as_int();
-  view.isds = &isds->as_array();
-  view.loss_pct = loss->as_double();
-  const auto number = [](const Value* value) -> std::optional<double> {
-    if (value == nullptr || !value->is_number()) return std::nullopt;
-    return value->as_double();
-  };
-  view.latency_ms = number(doc.get("latency_ms"));
-  view.jitter_ms = number(doc.get("jitter_ms"));
-  if (const Value* bw = doc.get("bw"); bw != nullptr) {
-    view.bw_up_64 = number(bw->get("up_64"));
-    view.bw_down_64 = number(bw->get("down_64"));
-    view.bw_up_mtu = number(bw->get("up_mtu"));
-    view.bw_down_mtu = number(bw->get("down_mtu"));
+  view.path_id = fields.path_id->as_string();
+  view.server_id = fields.server_id->as_int();
+  view.timestamp_ms = fields.timestamp_ms->as_int();
+  view.hop_count = fields.hop_count->as_int();
+  view.isds = &fields.isds->as_array();
+  view.loss_pct = fields.loss_pct->as_double();
+  view.latency_ms = number(fields.latency_ms);
+  view.jitter_ms = number(fields.jitter_ms);
+  if (fields.bw != nullptr) {
+    view.bw_up_64 = number(fields.bw->get("up_64"));
+    view.bw_down_64 = number(fields.bw->get("down_64"));
+    view.bw_up_mtu = number(fields.bw->get("up_mtu"));
+    view.bw_down_mtu = number(fields.bw->get("down_mtu"));
   }
-  view.target_mbps = number(doc.get("target_mbps"));
+  view.target_mbps = number(fields.target_mbps);
   return view;
 }
 

@@ -109,7 +109,8 @@ struct StatsView {
 };
 
 /// Validate a paths_stats document and read its fields without
-/// allocating.  This is the one rule for which documents readers skip:
+/// allocating, in one walk over its fields.  This is the one rule for
+/// which documents readers skip:
 /// nullopt when `path_id` is not a string, `server_id`, `timestamp_ms`
 /// or `hop_count` not an integer, `loss_pct` not a number, or `isds` not
 /// an array of integers.  The optional numbers read as absent when

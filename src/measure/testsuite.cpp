@@ -151,7 +151,37 @@ Status TestSuite::collect_paths() {
   return Status::success();
 }
 
+Status TestSuite::drop_stored_copies(std::vector<Document>& docs) const {
+  const docdb::Collection* stats = db_.find_collection(kPathsStats);
+  if (stats == nullptr) return Status::success();
+  std::vector<Document> unstored;
+  unstored.reserve(docs.size());
+  for (Document& doc : docs) {
+    if (const auto id = docdb::document_id(doc); id.has_value()) {
+      if (const Result<Document> stored = stats->find_by_id(*id); stored.ok()) {
+        if (stored.value().dump() != doc.dump()) {
+          return Status(ErrorCode::kConflict,
+                        "re-measured document differs from the stored one: " +
+                            std::string(*id));
+        }
+        continue;
+      }
+    }
+    unstored.push_back(std::move(doc));
+  }
+  docs = std::move(unstored);
+  return Status::success();
+}
+
 Status TestSuite::store_batch(std::vector<Document> docs) {
+  if (config_.resume) {
+    const Status deduplicated = drop_stored_copies(docs);
+    if (!deduplicated.ok()) {
+      ++progress_.batches_rejected;
+      metrics_.batches_rejected->add();
+      return deduplicated;
+    }
+  }
   if (docs.empty()) return Status::success();
   const std::size_t batch_size = docs.size();
 

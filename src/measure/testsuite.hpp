@@ -211,7 +211,16 @@ class TestSuite {
   };
   [[nodiscard]] obs::Registry& registry() const;
   [[nodiscard]] std::vector<Destination> selected_destinations() const;
+  /// Insert one unit's paths_stats batch.  On resume the unit may be a
+  /// re-measurement of one whose batch the interrupted run stored in
+  /// part or in full before its checkpoint: documents already stored
+  /// byte-identically are kept out of the insert, so re-measurement is
+  /// idempotent.
   [[nodiscard]] util::Status store_batch(std::vector<docdb::Document> docs);
+  /// Remove from `docs` those stored byte-identically under the same
+  /// `_id`; kConflict when a stored one differs.
+  [[nodiscard]] util::Status drop_stored_copies(
+      std::vector<docdb::Document>& docs) const;
 
   /// Hoist run_tests()' resume planning: destination list, per-destination
   /// remaining-iteration counts, checkpoint availability.  Idempotent.

@@ -126,7 +126,7 @@ bool RevocationLog::as_revoked(IsdAsn ia, SimTime t) const {
 
 bool RevocationLog::hops_revoked(const std::vector<IsdAsn>& ases,
                                  SimTime t) const {
-  if (ases.empty()) return false;
+  if (ases.empty() || events_.empty()) return false;
   for (std::size_t i = 0; i + 1 < ases.size(); ++i) {
     if (link_revoked(ases[i], ases[i + 1], t)) return true;
     if (link_revoked(ases[i + 1], ases[i], t)) return true;
@@ -136,7 +136,7 @@ bool RevocationLog::hops_revoked(const std::vector<IsdAsn>& ases,
 
 bool RevocationLog::path_revoked(const Path& path, SimTime t) const {
   const std::vector<PathHop>& hops = path.hops();
-  if (hops.empty()) return false;
+  if (hops.empty() || events_.empty()) return false;
   for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
     if (link_revoked(hops[i].ia, hops[i + 1].ia, t)) return true;
     if (link_revoked(hops[i + 1].ia, hops[i].ia, t)) return true;
@@ -146,6 +146,7 @@ bool RevocationLog::path_revoked(const Path& path, SimTime t) const {
 
 std::optional<SimTime> RevocationLog::revoked_since(const Path& path,
                                                     SimTime t) const {
+  if (events_.empty()) return std::nullopt;
   std::optional<SimTime> earliest;
   const auto consider = [&](const std::vector<std::size_t>& indices) {
     for (const std::size_t index : indices) {

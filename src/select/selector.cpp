@@ -1,10 +1,10 @@
 #include "select/selector.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "measure/schema.hpp"
 #include "scion/path.hpp"
-#include "util/strings.hpp"
 
 namespace upin::select {
 
@@ -20,39 +20,18 @@ PathSelector::PathSelector(const docdb::Database& db,
                            const scion::Topology& topology)
     : db_(db), topology_(topology) {}
 
-Result<PathSummary> PathSelector::summarize_path(
-    const Document& path_doc, std::optional<std::int64_t> since_ms) const {
-  Result<PathRecord> record = measure::parse_path_document(path_doc);
-  if (!record.ok()) return Result<PathSummary>(record.error());
+namespace {
 
-  PathSummary summary;
-  summary.path_id = record.value().id;
-  summary.server_id = record.value().server_id;
-  summary.sequence = record.value().sequence;
-  summary.hop_count = record.value().hop_count;
-  summary.isds = record.value().isds;
-  summary.mtu = record.value().mtu;
-
-  Result<scion::Path> parsed =
-      scion::Path::parse_sequence(record.value().sequence);
-  if (parsed.ok()) {
-    for (const scion::PathHop& hop : parsed.value().hops()) {
-      summary.hops.push_back(hop.ia);
-    }
-  }
-
-  const docdb::Collection* stats = db_.find_collection(measure::kPathsStats);
-  if (stats == nullptr) {
-    return util::Error{ErrorCode::kNotFound, "paths_stats does not exist"};
-  }
+Result<Filter> equals(std::string_view field, Value value) {
   util::JsonObject query;
-  query.set("path_id", Value(summary.path_id));
-  if (since_ms.has_value()) {
-    query.set("timestamp_ms", Value::object({{"$gte", Value(*since_ms)}}));
-  }
-  Result<Filter> by_path = Filter::compile(Value(std::move(query)));
-  if (!by_path.ok()) return Result<PathSummary>(by_path.error());
+  query.set(std::string(field), std::move(value));
+  return Filter::compile(Value(std::move(query)));
+}
 
+/// Aggregate the paths_stats documents `by_path` matches into the sample
+/// fields of `summary`.
+void aggregate(const docdb::Collection& stats, const Filter& by_path,
+               PathSummary& summary) {
   std::vector<double> latencies;
   std::vector<double> losses;
   std::vector<double> jitters;
@@ -61,7 +40,7 @@ Result<PathSummary> PathSelector::summarize_path(
                        const std::optional<double>& value) {
     if (value.has_value()) to.push_back(*value);
   };
-  stats->find_each(by_path.value(), {}, [&](const Document& doc) {
+  stats.find_each(by_path, {}, [&](const Document& doc) {
     const std::optional<StatsView> sample = measure::read_stats_document(doc);
     if (!sample.has_value()) return true;  // tolerate foreign documents
     ++summary.samples;
@@ -83,40 +62,115 @@ Result<PathSummary> PathSelector::summarize_path(
   if (!bw_up_mtu.empty()) summary.mean_bw_up_mtu = util::mean(bw_up_mtu);
   if (!bw_down_64.empty()) summary.mean_bw_down_64 = util::mean(bw_down_64);
   if (!bw_up_64.empty()) summary.mean_bw_up_64 = util::mean(bw_up_64);
-  return summary;
-}
-
-namespace {
-
-util::Result<std::vector<Document>> path_docs_for(const docdb::Database& db,
-                                                  int server_id) {
-  const docdb::Collection* paths = db.find_collection(measure::kPaths);
-  if (paths == nullptr) {
-    return util::Error{ErrorCode::kNotFound, "paths collection does not exist"};
-  }
-  util::JsonObject query;
-  query.set("server_id", Value(server_id));
-  Result<Filter> by_server = Filter::compile(Value(std::move(query)));
-  if (!by_server.ok()) {
-    return util::Result<std::vector<Document>>(by_server.error());
-  }
-  docdb::FindOptions in_order;
-  in_order.sort_by = "path_index";
-  return paths->find(by_server.value(), in_order);
 }
 
 }  // namespace
 
+std::optional<PathSelector::Stamp> PathSelector::stamp_of(
+    const docdb::Collection& collection, const Filter* filter) {
+  const std::uint64_t epoch = collection.rewrite_epoch();
+  const std::size_t count =
+      filter == nullptr ? collection.size() : collection.count(*filter);
+  if (collection.rewrite_epoch() != epoch) return std::nullopt;
+  return Stamp{epoch, count};
+}
+
+Result<PathSelector::Catalog*> PathSelector::catalog_locked(
+    const docdb::Collection& paths, int server_id) const {
+  const std::optional<Stamp> stamp = stamp_of(paths, nullptr);
+  const auto cached = catalogs_.find(server_id);
+  if (cached != catalogs_.end() && stamp.has_value() &&
+      cached->second.paths_stamp == stamp) {
+    return &cached->second;
+  }
+  if (cached != catalogs_.end()) catalogs_.erase(cached);
+
+  Result<Filter> by_server = equals("server_id", Value(server_id));
+  if (!by_server.ok()) return Result<Catalog*>(by_server.error());
+  Catalog catalog{stamp, {}};
+  std::optional<util::Error> failed;
+  docdb::FindOptions in_order;
+  in_order.sort_by = "path_index";
+  paths.find_each(by_server.value(), in_order, [&](const Document& doc) {
+    Result<PathRecord> record = measure::parse_path_document(doc);
+    if (!record.ok()) {
+      failed = record.error();
+      return false;
+    }
+    Result<Filter> by_path = equals("path_id", Value(record.value().id));
+    if (!by_path.ok()) {
+      failed = by_path.error();
+      return false;
+    }
+    PathSummary identity;
+    identity.path_id = record.value().id;
+    identity.server_id = record.value().server_id;
+    identity.sequence = record.value().sequence;
+    identity.hop_count = record.value().hop_count;
+    identity.isds = record.value().isds;
+    identity.mtu = record.value().mtu;
+    Result<scion::Path> parsed =
+        scion::Path::parse_sequence(record.value().sequence);
+    if (parsed.ok()) {
+      for (const scion::PathHop& hop : parsed.value().hops()) {
+        identity.hops.push_back(hop.ia);
+      }
+    }
+    catalog.paths.push_back(
+        CatalogPath{std::move(identity), std::move(by_path).value(), {}});
+    return true;
+  });
+  if (failed.has_value()) return *failed;
+  if (catalog.paths.empty()) return static_cast<Catalog*>(nullptr);
+  return &catalogs_.insert_or_assign(server_id, std::move(catalog))
+              .first->second;
+}
+
 Result<std::vector<PathSummary>> PathSelector::summarize(
     int server_id, std::optional<std::int64_t> since_ms) const {
-  Result<std::vector<Document>> docs = path_docs_for(db_, server_id);
-  if (!docs.ok()) return Result<std::vector<PathSummary>>(docs.error());
+  const docdb::Collection* paths = db_.find_collection(measure::kPaths);
+  if (paths == nullptr) {
+    return util::Error{ErrorCode::kNotFound, "paths collection does not exist"};
+  }
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  Result<Catalog*> catalog = catalog_locked(*paths, server_id);
+  if (!catalog.ok()) return Result<std::vector<PathSummary>>(catalog.error());
   std::vector<PathSummary> summaries;
-  summaries.reserve(docs.value().size());
-  for (const Document& doc : docs.value()) {
-    Result<PathSummary> summary = summarize_path(doc, since_ms);
-    if (!summary.ok()) return Result<std::vector<PathSummary>>(summary.error());
-    summaries.push_back(std::move(summary).value());
+  if (catalog.value() == nullptr) return summaries;
+
+  const docdb::Collection* stats = db_.find_collection(measure::kPathsStats);
+  if (stats == nullptr) {
+    return util::Error{ErrorCode::kNotFound, "paths_stats does not exist"};
+  }
+  summaries.reserve(catalog.value()->paths.size());
+  for (CatalogPath& path : catalog.value()->paths) {
+    // The stamp is taken before the walk: documents inserted meanwhile
+    // may be in the summary but not in the stamp, which then never
+    // matches again, so a memo can run ahead of its stamp but never
+    // behind it.
+    const std::optional<Stamp> stamp = stamp_of(*stats, &path.by_path);
+    if (path.memo.has_value() && stamp.has_value() &&
+        path.memo->since_ms == since_ms && path.memo->stamp == *stamp) {
+      summaries.push_back(path.memo->summary);
+      continue;
+    }
+    PathSummary summary = path.identity;
+    if (since_ms.has_value()) {
+      util::JsonObject query;
+      query.set("path_id", Value(summary.path_id));
+      query.set("timestamp_ms", Value::object({{"$gte", Value(*since_ms)}}));
+      Result<Filter> windowed = Filter::compile(Value(std::move(query)));
+      if (!windowed.ok()) {
+        return Result<std::vector<PathSummary>>(windowed.error());
+      }
+      aggregate(*stats, windowed.value(), summary);
+    } else {
+      aggregate(*stats, path.by_path, summary);
+    }
+    if (stamp.has_value()) {
+      path.memo = CatalogPath::Memo{since_ms, *stamp, summary};
+    }
+    summaries.push_back(std::move(summary));
   }
   return summaries;
 }

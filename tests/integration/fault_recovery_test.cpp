@@ -36,15 +36,21 @@ class FaultRecoveryTest : public ::testing::Test {
     return config;
   }
 
+  /// All documents of `collection` as id -> serialized JSON.
+  static std::map<std::string, std::string> snapshot(
+      docdb::Database& db, const std::string& collection) {
+    std::map<std::string, std::string> documents;
+    db.collection(collection).for_each([&](const docdb::Document& doc) {
+      documents.emplace(std::string(docdb::document_id(doc).value_or("")),
+                        doc.dump());
+    });
+    return documents;
+  }
+
   /// All paths_stats documents as id -> serialized JSON.
   static std::map<std::string, std::string> stats_snapshot(
       docdb::Database& db) {
-    std::map<std::string, std::string> snapshot;
-    db.collection(kPathsStats).for_each([&](const docdb::Document& doc) {
-      snapshot.emplace(std::string(docdb::document_id(doc).value_or("")),
-                       doc.dump());
-    });
-    return snapshot;
+    return snapshot(db, kPathsStats);
   }
 
   FaultRecoveryTest() : env_(scion::scionlab_topology()) {}
@@ -219,6 +225,85 @@ TEST_F(FaultRecoveryTest, KillThenResumeReproducesIdenticalDocuments) {
       ASSERT_NE(it, resumed.end()) << "missing document " << id;
       EXPECT_EQ(it->second, json) << "document " << id << " diverged";
     }
+  }
+}
+
+TEST_F(FaultRecoveryTest, ResumeAfterAJournalCutInsideOrAfterABatchLosesNothing) {
+  // A unit's batch, its checkpoint and its metrics snapshot are separate
+  // synced writes, so a kill can leave the journal ending inside the
+  // batch or after it with no checkpoint.  Either way the resume
+  // re-measures the unit; the documents the cut kept must not make it
+  // reject the rest.
+  simnet::FaultPlanConfig faults;
+  faults.garble_prob = 0.1;
+  faults.slow_per_hour = 2.0;
+  TestSuiteConfig config;
+  config.iterations = 2;
+  config.server_ids = {{3, 5}};
+
+  std::map<std::string, std::string> reference_stats;
+  std::map<std::string, std::string> reference_checkpoints;
+  {
+    apps::ScionHost host(env_, 42, env_.user_as, "10.0.8.1", faulty(faults));
+    docdb::Database db;
+    TestSuite suite(host, db, config);
+    ASSERT_TRUE(suite.run().ok());
+    reference_stats = stats_snapshot(db);
+    reference_checkpoints = snapshot(db, kCampaignCheckpoints);
+    ASSERT_EQ(reference_checkpoints.size(), 4u);
+  }
+
+  {
+    auto opened = docdb::Database::open(journal_path_);
+    ASSERT_TRUE(opened.ok());
+    apps::ScionHost host(env_, 42, env_.user_as, "10.0.8.1", faulty(faults));
+    TestSuiteConfig crashing = config;
+    crashing.crash_after_batches = 3;
+    TestSuite suite(host, *opened.value(), crashing);
+    ASSERT_FALSE(suite.run().ok());
+  }
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(journal_path_);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  // The third batch: the last run of paths_stats inserts in the journal.
+  const auto is_stats_insert = [&](std::size_t i) {
+    return lines[i].find(R"({"op":"insert","coll":"paths_stats")") !=
+           std::string::npos;
+  };
+  std::size_t batch_end = lines.size();
+  while (batch_end > 0 && !is_stats_insert(batch_end - 1)) --batch_end;
+  std::size_t batch_begin = batch_end;
+  while (batch_begin > 0 && is_stats_insert(batch_begin - 1)) --batch_begin;
+  ASSERT_GT(batch_end - batch_begin, 3u);
+
+  struct Cut {
+    const char* where;
+    std::size_t keep_lines;
+  };
+  for (const Cut cut : {Cut{"after the batch", batch_end},
+                        Cut{"3 records into the batch", batch_begin + 3}}) {
+    const std::string cut_path = dir_.file("cut.jsonl");
+    {
+      std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
+      for (std::size_t i = 0; i < cut.keep_lines; ++i) out << lines[i] << '\n';
+    }
+    auto reopened = docdb::Database::open(cut_path);
+    ASSERT_TRUE(reopened.ok()) << cut.where;
+    docdb::Database& db = *reopened.value();
+    ASSERT_EQ(db.collection(kCampaignCheckpoints).size(), 2u) << cut.where;
+    apps::ScionHost host(env_, 42, env_.user_as, "10.0.8.1", faulty(faults));
+    TestSuiteConfig resuming = config;
+    resuming.skip_collection = true;
+    resuming.resume = true;
+    TestSuite suite(host, db, resuming);
+    ASSERT_TRUE(suite.run().ok()) << cut.where;
+    EXPECT_EQ(suite.progress().errors.storage, 0u) << cut.where;
+    EXPECT_EQ(suite.progress().batches_rejected, 0u) << cut.where;
+    EXPECT_EQ(stats_snapshot(db), reference_stats) << cut.where;
+    EXPECT_EQ(snapshot(db, kCampaignCheckpoints), reference_checkpoints)
+        << cut.where;
   }
 }
 
